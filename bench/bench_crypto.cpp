@@ -3,13 +3,15 @@
 // Regenerates the primitive-cost table: RSA keygen / FDH sign / verify,
 // blind-signature client and signer costs, hybrid encryption, SHA-256 and
 // ChaCha20 throughput — each across modulus sizes 512/1024/2048. Includes
-// the Montgomery-vs-plain modexp ablation called out in DESIGN.md.
+// the Montgomery-vs-plain modexp ablation called out in DESIGN.md and the
+// Montgomery squaring-vs-multiply kernel pair.
 
 #include <benchmark/benchmark.h>
 
 #include "gbench_json_main.h"
 
 #include <map>
+#include <vector>
 
 #include "bignum/limbs.h"
 #include "bignum/montgomery.h"
@@ -167,6 +169,37 @@ void BM_ModExpMontgomery(benchmark::State& state) {
 }
 BENCHMARK(BM_ModExpMontgomery)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
+
+// Kernel ratio: one Montgomery squaring vs one general Montgomery
+// multiply at 1024 bits (the width of a 2048-bit key's CRT halves, where
+// PowMod spends its ~1020 squarings per exponent). Each iteration feeds
+// its output back in, so the loop measures a dependent chain, as in
+// PowMod.
+void BM_MontSqr(benchmark::State& state) {
+  const auto& key = KeyForBits(static_cast<std::size_t>(state.range(0)));
+  Montgomery mont(key.n);
+  p2drm::bignum::Scratch scratch;
+  std::vector<p2drm::bignum::Limb> acc(mont.width());
+  mont.Load(acc.data(), BigInt::FromHex("123456789abcdef").Mod(key.n));
+  for (auto _ : state) {
+    mont.MontSqrLimbs(acc.data(), acc.data(), &scratch);
+    benchmark::DoNotOptimize(acc.data());
+  }
+}
+BENCHMARK(BM_MontSqr)->Arg(1024)->Unit(benchmark::kNanosecond);
+
+void BM_MontMul(benchmark::State& state) {
+  const auto& key = KeyForBits(static_cast<std::size_t>(state.range(0)));
+  Montgomery mont(key.n);
+  p2drm::bignum::Scratch scratch;
+  std::vector<p2drm::bignum::Limb> acc(mont.width());
+  mont.Load(acc.data(), BigInt::FromHex("123456789abcdef").Mod(key.n));
+  for (auto _ : state) {
+    mont.MontMulLimbs(acc.data(), acc.data(), acc.data(), &scratch);
+    benchmark::DoNotOptimize(acc.data());
+  }
+}
+BENCHMARK(BM_MontMul)->Arg(1024)->Unit(benchmark::kNanosecond);
 
 void BM_ModExpNaive(benchmark::State& state) {
   const auto& key = KeyForBits(static_cast<std::size_t>(state.range(0)));

@@ -70,6 +70,86 @@ void MontMulFixed(const Limb* n, std::size_t /*nlimbs*/, Limb n0_inv,
   CiosBody(n, N, n0_inv, out, a, b, t);
 }
 
+// Montgomery squaring, SOS form (separated operand scanning; Koç, Acar
+// & Kaliski 1996): out = a * a * R^-1 mod N. Requires a < N. t is a
+// 2*nlimbs accumulator. The full square is built first — each
+// off-diagonal product a[i]*a[j] (i < j) once, the sum doubled by a
+// one-bit shift, then the diagonal a[i]^2 added — which takes
+// nlimbs*(nlimbs+1)/2 word multiplies instead of the general product's
+// nlimbs^2. The word-by-word reduction that follows is the same
+// m = t[i] * n0_inv step CIOS interleaves, run over the 2n-limb square.
+// The result is the unique value in [0, N), so it is bit-identical to
+// CiosBody(a, a).
+inline void SqrBody(const Limb* n, std::size_t nlimbs, Limb n0_inv,
+                    Limb* out, const Limb* a, Limb* t) {
+  // t = sum over i < j of a[i]*a[j] * 2^(64(i+j)). Row i's carry lands
+  // in t[i + nlimbs], which no earlier row has reached yet.
+  std::memset(t, 0, 2 * nlimbs * sizeof(Limb));
+  for (std::size_t i = 0; i + 1 < nlimbs; ++i) {
+    const DoubleLimb ai = a[i];
+    Limb carry = 0;
+    for (std::size_t j = i + 1; j < nlimbs; ++j) {
+      DoubleLimb cur = ai * a[j] + t[i + j] + carry;
+      t[i + j] = static_cast<Limb>(cur);
+      carry = static_cast<Limb>(cur >> 64);
+    }
+    t[i + nlimbs] = carry;
+  }
+
+  // t = 2t + sum of a[i]^2 * 2^(128i). a^2 < R^2, so nothing carries out.
+  Limb shifted_out = 0;
+  Limb carry = 0;
+  for (std::size_t i = 0; i < nlimbs; ++i) {
+    const Limb lo = t[2 * i];
+    const Limb hi = t[2 * i + 1];
+    const DoubleLimb sq = static_cast<DoubleLimb>(a[i]) * a[i];
+    DoubleLimb cur = static_cast<DoubleLimb>((lo << 1) | shifted_out) +
+                     static_cast<Limb>(sq) + carry;
+    t[2 * i] = static_cast<Limb>(cur);
+    cur = static_cast<DoubleLimb>((hi << 1) | (lo >> 63)) +
+          static_cast<Limb>(sq >> 64) + static_cast<Limb>(cur >> 64);
+    t[2 * i + 1] = static_cast<Limb>(cur);
+    carry = static_cast<Limb>(cur >> 64);
+    shifted_out = hi >> 63;
+  }
+
+  // Word-by-word reduction: zero t[i] by adding m * N * 2^(64i). top
+  // holds the carry out of t[i + nlimbs], which belongs to the next
+  // row's top word (t[i + 1 + nlimbs]).
+  Limb top = 0;
+  for (std::size_t i = 0; i < nlimbs; ++i) {
+    const DoubleLimb m = t[i] * n0_inv;
+    Limb c = static_cast<Limb>((m * n[0] + t[i]) >> 64);
+    for (std::size_t j = 1; j < nlimbs; ++j) {
+      DoubleLimb cur = m * n[j] + t[i + j] + c;
+      t[i + j] = static_cast<Limb>(cur);
+      c = static_cast<Limb>(cur >> 64);
+    }
+    DoubleLimb cur = static_cast<DoubleLimb>(t[i + nlimbs]) + c + top;
+    t[i + nlimbs] = static_cast<Limb>(cur);
+    top = static_cast<Limb>(cur >> 64);
+  }
+  // (top, t[nlimbs..2n)) < 2N: one conditional subtraction normalizes.
+  const Limb* r = t + nlimbs;
+  if (top != 0 || CmpN(r, n, nlimbs) >= 0) {
+    SubN(out, r, n, nlimbs);
+  } else {
+    std::memcpy(out, r, nlimbs * sizeof(Limb));
+  }
+}
+
+void MontSqrGeneric(const Limb* n, std::size_t nlimbs, Limb n0_inv, Limb* out,
+                    const Limb* a, Limb* t) {
+  SqrBody(n, nlimbs, n0_inv, out, a, t);
+}
+
+template <std::size_t N>
+void MontSqrFixed(const Limb* n, std::size_t /*nlimbs*/, Limb n0_inv,
+                  Limb* out, const Limb* a, Limb* /*t*/) {
+  Limb t[2 * N];
+  SqrBody(n, N, n0_inv, out, a, t);
+}
+
 }  // namespace
 
 Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
@@ -100,10 +180,22 @@ Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
 
   // Fixed-width dispatch for the RSA modulus sizes (bits = 64 * n_).
   switch (n_) {
-    case 8:  mul_fn_ = &MontMulFixed<8>; break;    // 512-bit
-    case 16: mul_fn_ = &MontMulFixed<16>; break;   // 1024-bit
-    case 32: mul_fn_ = &MontMulFixed<32>; break;   // 2048-bit
-    default: mul_fn_ = &MontMulGeneric; break;
+    case 8:   // 512-bit
+      mul_fn_ = &MontMulFixed<8>;
+      sqr_fn_ = &MontSqrFixed<8>;
+      break;
+    case 16:  // 1024-bit
+      mul_fn_ = &MontMulFixed<16>;
+      sqr_fn_ = &MontSqrFixed<16>;
+      break;
+    case 32:  // 2048-bit
+      mul_fn_ = &MontMulFixed<32>;
+      sqr_fn_ = &MontSqrFixed<32>;
+      break;
+    default:
+      mul_fn_ = &MontMulGeneric;
+      sqr_fn_ = &MontSqrGeneric;
+      break;
   }
 }
 
@@ -126,6 +218,13 @@ void Montgomery::MontMulLimbs(Limb* out, const Limb* a, const Limb* b,
   Scratch::Frame frame(scratch);
   Limb* t = scratch->Alloc(n_ + 2);
   mul_fn_(n64_.data(), n_, n0_inv_, out, a, b, t);
+}
+
+void Montgomery::MontSqrLimbs(Limb* out, const Limb* a,
+                              Scratch* scratch) const {
+  Scratch::Frame frame(scratch);
+  Limb* t = scratch->Alloc(2 * n_);
+  sqr_fn_(n64_.data(), n_, n0_inv_, out, a, t);
 }
 
 BigInt Montgomery::MulMont(const BigInt& a, const BigInt& b) const {
@@ -195,7 +294,9 @@ void Montgomery::PowModLimbs(Limb* out, const Limb* base, LimbSpan exp,
 
   const Limb* n = n64_.data();
   Scratch::Frame frame(scratch);
-  Limb* t = scratch->Alloc(n_ + 2);
+  // One accumulator serves both kernels: n+2 limbs for the multiply,
+  // 2n for the square.
+  Limb* t = scratch->Alloc(2 * n_ + 2);
   Limb* mb = scratch->Alloc(n_);
   mul_fn_(n, n_, n0_inv_, mb, base, r2_.data(), t);  // base into Montgomery form
 
@@ -212,7 +313,7 @@ void Montgomery::PowModLimbs(Limb* out, const Limb* base, LimbSpan exp,
   const std::size_t nwindows = (nbits + w - 1) / w;
   for (std::size_t win = nwindows; win > 0; --win) {
     for (std::size_t s = 0; s < w; ++s) {
-      mul_fn_(n, n_, n0_inv_, acc, acc, acc, t);
+      sqr_fn_(n, n_, n0_inv_, acc, acc, t);
     }
     std::size_t idx = 0;
     for (std::size_t bit = 0; bit < w; ++bit) {

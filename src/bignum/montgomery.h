@@ -8,12 +8,13 @@
 /// exponentiation must not reduce with full division at every step — and,
 /// on the server's per-item issue path, must not touch the heap either.
 /// The context precomputes R = 2^(64n) mod N and performs CIOS Montgomery
-/// multiplication over flat 64-bit limbs (limbs.h), with branch-free
-/// fixed-width kernels for the modulus sizes RSA actually uses (512/1024/
-/// 2048 bits — the CRT halves and full moduli of RsaPrivateKey /
-/// BatchVerifier). PowMod uses a windowed table (4- or 5-bit by exponent
-/// size) living entirely in scratch; the span-level entry points are
-/// allocation-free once the caller's Scratch is warm. See docs/bignum.md.
+/// multiplication and SOS Montgomery squaring over flat 64-bit limbs
+/// (limbs.h), with branch-free fixed-width kernels for the modulus sizes
+/// RSA actually uses (512/1024/2048 bits — the CRT halves and full moduli
+/// of RsaPrivateKey / BatchVerifier). PowMod uses a windowed table (4- or
+/// 5-bit by exponent size) living entirely in scratch and squares with
+/// the dedicated kernel; the span-level entry points are allocation-free
+/// once the caller's Scratch is warm. See docs/bignum.md.
 
 #include <cstdint>
 #include <memory>
@@ -61,6 +62,12 @@ class Montgomery {
   void MontMulLimbs(Limb* out, const Limb* a, const Limb* b,
                     Scratch* scratch) const;
 
+  /// out = a * a * R^-1 mod N over raw limbs (SOS squaring: the
+  /// off-diagonal products once, doubled, plus the diagonal, then the
+  /// same word-by-word reduction). Requires a < N. Bit-identical to
+  /// MontMulLimbs(out, a, a) at about 3/4 of its word multiplies.
+  void MontSqrLimbs(Limb* out, const Limb* a, Scratch* scratch) const;
+
   /// out = base^exp mod N, base and result in ordinary form.
   /// Requires base < N (width() limbs). The windowed table and every
   /// temporary live in \p scratch.
@@ -84,6 +91,10 @@ class Montgomery {
   // (ignored by the fixed-width kernels, which keep it on the stack).
   using MulFn = void (*)(const Limb* n, std::size_t nlimbs, Limb n0_inv,
                          Limb* out, const Limb* a, const Limb* b, Limb* t);
+  // Raw SOS square; t is a caller-provided 2*n_ limb accumulator (the
+  // fixed-width kernels keep theirs on the stack).
+  using SqrFn = void (*)(const Limb* n, std::size_t nlimbs, Limb n0_inv,
+                         Limb* out, const Limb* a, Limb* t);
 
   BigInt modulus_;
   std::size_t n_ = 0;          // width in 64-bit limbs
@@ -92,6 +103,7 @@ class Montgomery {
   std::vector<Limb> one_mont_; // R mod N: 1 in Montgomery form
   std::vector<Limb> r2_;       // R^2 mod N
   MulFn mul_fn_ = nullptr;
+  SqrFn sqr_fn_ = nullptr;
 };
 
 }  // namespace bignum

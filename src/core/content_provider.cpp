@@ -776,8 +776,9 @@ void ContentProvider::ForEachIssue(
   if (signer_pool_ != nullptr) {
     // Dedicated pool first: issuance has no shard affinity, and keeping
     // it off the shard workers decouples signing latency from
-    // spend-queue depth. RunAll joins, so borrowing sign_item and the
-    // time source by reference is safe.
+    // spend-queue depth. RunAll joins (this thread signs some items
+    // itself), so borrowing sign_item and the time source by reference
+    // is safe.
     const server::TimeSourceUs& now_us = time_source_;
     signer_pool_->RunAll(
         count, [&sign_item, &now_us](server::SignerContext& ctx,

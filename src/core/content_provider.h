@@ -404,9 +404,10 @@ class ContentProvider {
                                   bignum::RandomSource* rng) const;
   /// The issue-stage executor every pipeline shares: runs
   /// \p sign_item(k) for every k in [0, count) — fanned out to the
-  /// signer pool when one exists (measured time accrued on the pool
-  /// workers' sim clocks), else to the shard workers (ditto on the
-  /// shard sim clocks) when the runtime exists, serially otherwise.
+  /// signer pool when one exists, the calling thread signing alongside
+  /// the workers (measured time accrued on the workers' sim clocks and
+  /// the pool's joiner clock), else to the shard workers (on the shard
+  /// sim clocks) when the runtime exists, serially otherwise.
   /// \p sign_item must be thread-safe and write only disjoint state per
   /// k; ForEachIssue blocks until every call has returned.
   void ForEachIssue(std::size_t count,

@@ -1,5 +1,7 @@
 #include "server/signer_pool.h"
 
+#include <iterator>
+
 namespace p2drm {
 namespace server {
 
@@ -74,7 +76,60 @@ SignerPool::Ticket SignerPool::SubmitBatch(std::size_t count, Job work) {
 }
 
 void SignerPool::RunAll(std::size_t count, Job work) {
-  SubmitBatch(count, std::move(work)).Wait();
+  Ticket ticket = SubmitBatch(count, std::move(work));
+  // Join instead of sleeping: the caller signs its own batch's
+  // not-yet-started items, so it never idles while its work queues
+  // behind other batches, and RunAll completes even if every worker is
+  // busy. What the workers already started, Wait() covers.
+  SignerContext joiner;
+  joiner.index = workers_.size();
+  std::size_t cursor = 0;
+  Item item;
+  while (TryPopOwn(ticket.batch_.get(), &cursor, &item)) {
+    OnDequeued();
+    RunItem(item, joiner);
+  }
+  joiner_sim_clock_us_.fetch_add(
+      joiner.sim_clock_us.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
+  ticket.Wait();
+}
+
+bool SignerPool::TryPopOwn(const Batch* batch, std::size_t* cursor,
+                           Item* item) {
+  // Round-robin over the deques so the joiner drains every worker's
+  // slice evenly, taking each slice from the back (the end its owner
+  // reaches last) and skipping other batches' items.
+  const std::size_t n = workers_.size();
+  for (std::size_t d = 0; d < n; ++d) {
+    Worker& w = *workers_[(*cursor + d) % n];
+    std::lock_guard<std::mutex> lk(w.m);
+    for (auto it = w.dq.rbegin(); it != w.dq.rend(); ++it) {
+      if (it->batch.get() != batch) continue;
+      *item = std::move(*it);
+      w.dq.erase(std::next(it).base());
+      *cursor = (*cursor + d + 1) % n;
+      return true;
+    }
+  }
+  return false;
+}
+
+void SignerPool::OnDequeued() {
+  pending_.fetch_sub(1, std::memory_order_acq_rel);
+  // Gauge decrements at dequeue, before the work runs — queue_depth is
+  // "queued, not yet started", deterministically zero at quiesce.
+  if (registry_ != nullptr) registry_->GaugeAdd(gauge_queue_, -1);
+}
+
+// noexcept: a job that throws ends the process on whichever thread runs
+// it. On the joiner, unwinding out of RunAll would otherwise destroy
+// state the batch's items on the workers still reference.
+void SignerPool::RunItem(Item& item, SignerContext& ctx) noexcept {
+  item.batch->work(ctx, item.k);
+  ctx.executed.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(item.batch->m);
+  if (--item.batch->remaining == 0) item.batch->done_cv.notify_all();
 }
 
 std::uint64_t SignerPool::Steals() const {
@@ -130,21 +185,12 @@ bool SignerPool::TryRunOne(std::size_t self_index) {
   }
   if (!got) return false;
 
-  pending_.fetch_sub(1, std::memory_order_acq_rel);
+  OnDequeued();
   if (stolen) {
     self.steals.fetch_add(1, std::memory_order_relaxed);
     if (registry_ != nullptr) registry_->Add(ctr_steals_);
   }
-  // Gauge decrements at dequeue, before the work runs — queue_depth is
-  // "queued, not yet started", deterministically zero at quiesce.
-  if (registry_ != nullptr) registry_->GaugeAdd(gauge_queue_, -1);
-
-  item.batch->work(self.ctx, item.k);
-  self.ctx.executed.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(item.batch->m);
-    if (--item.batch->remaining == 0) item.batch->done_cv.notify_all();
-  }
+  RunItem(item, self.ctx);
   return true;
 }
 

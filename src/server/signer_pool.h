@@ -23,11 +23,20 @@
 ///    from the BACK of a victim's deque, scanning victims starting at
 ///    its right-hand neighbour. Back-stealing takes the work the owner
 ///    would reach last, which minimizes owner/thief contention.
-///  * Work items must be thread-safe and write only disjoint per-k
-///    state — the same contract as BatchPipeline::Plan::issue. The pool
-///    guarantees nothing about WHICH worker runs an item, so issuance
-///    determinism must come from dispatch-side DRBG forks, never from
-///    worker identity.
+///  * `RunAll` is a joining submit: after dealing, the calling thread
+///    takes not-yet-started items of ITS OWN batch from the back of the
+///    deques and runs them on a per-call joiner context (index
+///    worker_count()), then waits only for items already running on
+///    workers. A joiner pop counts as a dequeue (pending count,
+///    queue_depth) but not as a steal; its signing time accrues onto
+///    JoinerSimClockUs(). The caller is therefore one more signer, so a
+///    pool of cores - 1 workers keeps every core signing.
+///  * Work items must be thread-safe, must not throw (a throwing item
+///    terminates the process, whichever thread runs it), and write only
+///    disjoint per-k state — the same contract as
+///    BatchPipeline::Plan::issue. The pool guarantees nothing about
+///    WHICH worker runs an item, so issuance determinism must come from
+///    dispatch-side DRBG forks, never from worker identity.
 ///  * Shutdown drains: the destructor wakes every worker and each one
 ///    exits only once every queued item (its own or stolen) has run, so
 ///    a Ticket outstanding at destruction time still completes.
@@ -57,7 +66,9 @@ namespace server {
 /// are still in flight; for exact values quiesce first (Ticket::Wait on
 /// everything outstanding, or destruction).
 struct SignerContext {
-  std::size_t index = 0;  ///< worker index in [0, worker_count)
+  /// Worker index in [0, worker_count); worker_count for the joiner
+  /// context RunAll's calling thread signs on.
+  std::size_t index = 0;
 
   /// Accrues measured signing time onto this worker's simulated clock —
   /// the same methodology as ServerRuntime's per-shard sim clocks, so
@@ -112,8 +123,11 @@ class SignerPool {
   /// caller. The batch's Job is shared by all its items.
   Ticket SubmitBatch(std::size_t count, Job work);
 
-  /// SubmitBatch + Wait: the synchronous executor shape, drop-in where
-  /// ServerRuntime::RunAll used to carry issue work.
+  /// SubmitBatch, then the calling thread runs not-yet-started items of
+  /// this batch itself (joiner context, index worker_count()) and waits
+  /// for the rest: the synchronous executor shape, drop-in where
+  /// ServerRuntime::RunAll used to carry issue work. Completes even when
+  /// every worker is busy elsewhere.
   void RunAll(std::size_t count, Job work);
 
   /// Total successful steals across all workers (relaxed; exact at
@@ -124,6 +138,13 @@ class SignerPool {
   /// Ticket::Wait on everything outstanding).
   std::uint64_t WorkerSimClockUs(std::size_t i) const {
     return workers_[i]->ctx.sim_clock_us.load(std::memory_order_relaxed);
+  }
+
+  /// Signing time accrued by RunAll callers on their joiner contexts
+  /// (relaxed; exact once those RunAll calls have returned). Worker
+  /// clocks plus this total is the pool's whole signing time.
+  std::uint64_t JoinerSimClockUs() const {
+    return joiner_sim_clock_us_.load(std::memory_order_relaxed);
   }
 
   /// max over workers of WorkerSimClockUs — the pool's issue makespan on
@@ -150,6 +171,13 @@ class SignerPool {
 
   void WorkerLoop(std::size_t index);
   bool TryRunOne(std::size_t self_index);
+  /// Pops the back-most not-yet-started item of \p batch, scanning the
+  /// deques round-robin from \p *cursor (advanced past the hit).
+  bool TryPopOwn(const Batch* batch, std::size_t* cursor, Item* item);
+  /// Dequeue bookkeeping shared by worker and joiner pops.
+  void OnDequeued();
+  /// Runs \p item on \p ctx and completes it on its batch.
+  static void RunItem(Item& item, SignerContext& ctx) noexcept;
 
   std::vector<std::unique_ptr<Worker>> workers_;
 
@@ -162,6 +190,7 @@ class SignerPool {
   std::condition_variable sleep_cv_;
   std::atomic<std::size_t> pending_{0};
   std::atomic<bool> stop_{false};
+  std::atomic<std::uint64_t> joiner_sim_clock_us_{0};
 
   obs::Registry* registry_ = nullptr;
   obs::Registry::Id gauge_queue_ = 0;

@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <random>
+#include <vector>
 
+#include "bignum/limbs.h"
 #include "bignum/montgomery.h"
 
 namespace p2drm {
@@ -371,6 +373,99 @@ TEST(Montgomery, LargeModulusFermat) {
   BigInt a = BigInt::FromDec("31415926535897932384626433");
   EXPECT_EQ(mont.PowMod(a, p - BigInt(1)).ToDec(), "1");
 }
+
+// ---------------------------------------------------------------------------
+// Montgomery squaring kernel vs the general multiply. The square must be
+// bit-identical to MulMont(a, a) — PowMod's every squaring now runs on
+// it — at the three fixed widths and on the generic path (1536 bits is
+// 24 limbs, which has no fixed-width kernel).
+// ---------------------------------------------------------------------------
+
+BigInt RandomBits(std::mt19937_64& rng, std::size_t bits) {
+  BigInt v;
+  for (std::size_t i = 0; i < bits; i += 64) {
+    v = (v << 64) + BigInt::FromUint64(rng());
+  }
+  return v >> (v.BitLength() > bits ? v.BitLength() - bits : 0);
+}
+
+// Odd modulus of exactly \p bits bits.
+BigInt RandomModulus(std::mt19937_64& rng, std::size_t bits) {
+  return (RandomBits(rng, bits - 2) << 1) + BigInt(1) +
+         (BigInt(1) << (bits - 1));
+}
+
+BigInt SqrViaKernel(const Montgomery& mont, const BigInt& a) {
+  Scratch scratch;
+  std::vector<Limb> pa(mont.width());
+  mont.Load(pa.data(), a);
+  mont.MontSqrLimbs(pa.data(), pa.data(), &scratch);
+  return mont.Unload(pa.data());
+}
+
+class MontSqrTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MontSqrTest, EqualsMulMontOnRandomAndEdgeValues) {
+  const std::size_t bits = GetParam();
+  std::mt19937_64 rng(bits * 7919u + 1u);
+  // A random full-width modulus, and one whose top limb is all ones
+  // (R - small odd). Under the latter, N - 1 - small has an all-ones top
+  // limb too: the operands where the square's carries run longest.
+  const BigInt r = BigInt(1) << bits;
+  const BigInt all_ones_top =
+      r - (BigInt::FromUint64(rng() >> 1) << 1) - BigInt(1);
+  for (const BigInt& m : {RandomModulus(rng, bits), all_ones_top}) {
+    Montgomery mont(m);
+    ASSERT_EQ(mont.width() * 64, bits);
+    std::vector<BigInt> values = {BigInt(0), BigInt(1), m - BigInt(1),
+                                  r.Mod(m)};
+    for (int i = 0; i < 20; ++i) {
+      values.push_back(m - BigInt::FromUint64(rng() >> 1) - BigInt(1));
+    }
+    for (int i = 0; i < 200; ++i) {
+      values.push_back(RandomBits(rng, bits).Mod(m));
+    }
+    for (const BigInt& a : values) {
+      EXPECT_EQ(SqrViaKernel(mont, a).ToHex(), mont.MulMont(a, a).ToHex())
+          << "a=" << a.ToHex();
+    }
+  }
+}
+
+TEST_P(MontSqrTest, TenThousandChainedSquaringsTrackTheMultiply) {
+  const std::size_t bits = GetParam();
+  std::mt19937_64 rng(bits + 17u);
+  Montgomery mont(RandomModulus(rng, bits));
+  Scratch scratch;
+  const std::size_t w = mont.width();
+  std::vector<Limb> via_sqr(w), via_mul(w);
+  mont.Load(via_sqr.data(), RandomBits(rng, bits).Mod(mont.modulus()));
+  via_mul = via_sqr;
+  for (int i = 0; i < 10000; ++i) {
+    mont.MontSqrLimbs(via_sqr.data(), via_sqr.data(), &scratch);
+    mont.MontMulLimbs(via_mul.data(), via_mul.data(), via_mul.data(),
+                      &scratch);
+    ASSERT_EQ(via_sqr, via_mul) << "diverged at squaring " << i;
+  }
+}
+
+TEST_P(MontSqrTest, WarmPowModAllocatesNothing) {
+  const std::size_t bits = GetParam();
+  std::mt19937_64 rng(bits + 29u);
+  Montgomery mont(RandomModulus(rng, bits));
+  const BigInt base = RandomBits(rng, bits).Mod(mont.modulus());
+  const BigInt exp = RandomBits(rng, bits);
+  const BigInt first = mont.PowMod(base, exp);  // warms this thread's arena
+  const std::uint64_t warm = KernelStats().scratch_heap_allocs;
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(mont.PowMod(base, exp).ToHex(), first.ToHex());
+  }
+  EXPECT_EQ(KernelStats().scratch_heap_allocs, warm)
+      << "warm PowMod allocated scratch on the heap";
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, MontSqrTest,
+                         ::testing::Values(512u, 1024u, 1536u, 2048u));
 
 }  // namespace
 }  // namespace bignum

@@ -2,7 +2,9 @@
 // streaming pipeline fans the issue stage out to. Covers completion
 // across pool sizes, the deterministic steal path (a blocked owner's
 // work finishes on a thief), drain-then-exit shutdown with tickets
-// outstanding, and the queue-depth/steal metrics. The shutdown and
+// outstanding, the joining RunAll caller (it signs its own batch, never
+// another caller's, and its clock conserves total signing time), and
+// the queue-depth/steal metrics. The shutdown and
 // steal tests also run under TSan in CI — the pool's sleep/wake and
 // per-deque locking contracts are only trusted because the race
 // detector agrees.
@@ -10,7 +12,10 @@
 #include "server/signer_pool.h"
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <future>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,13 +64,19 @@ TEST(SignerPool, BlockedOwnersWorkFinishesOnAThief) {
   std::shared_future<void> gate(release.get_future());
 
   // Batch A: one item; whichever worker picks it up (the owner, or a
-  // thief that got there first) parks on the gate.
+  // thief that got there first) parks on the gate. B is submitted only
+  // once A's item has recorded its worker: submitted earlier, the free
+  // worker could run both B items and then pick up A itself.
   std::atomic<std::size_t> parked{99};
+  std::promise<void> started;
+  std::future<void> a_running = started.get_future();
   server::SignerPool::Ticket ta = pool.SubmitBatch(
-      1, [gate, &parked](server::SignerContext& ctx, std::size_t) {
+      1, [gate, &parked, &started](server::SignerContext& ctx, std::size_t) {
         parked.store(ctx.index);
+        started.set_value();
         gate.wait();
       });
+  a_running.wait();
 
   // Batch B: one item per worker deque. The parked worker's item can
   // only complete by a steal, so Wait() returning while the gate is
@@ -122,15 +133,128 @@ TEST(SignerPool, ShutdownRacesStealsCleanly) {
   }
 }
 
-TEST(SignerPool, SimClockAccruesPerWorker) {
+TEST(SignerPool, SimClockIsConservedAcrossWorkersAndJoiner) {
+  // RunAll's caller signs too, so the conserved quantity is worker
+  // clocks + joiner clock, however the items were split between them.
   server::SignerPool pool(2);
   pool.RunAll(10, [](server::SignerContext& ctx, std::size_t) {
     ctx.AccrueSimClockUs(5);
   });
-  std::uint64_t total = pool.WorkerSimClockUs(0) + pool.WorkerSimClockUs(1);
+  std::uint64_t total = pool.WorkerSimClockUs(0) + pool.WorkerSimClockUs(1) +
+                        pool.JoinerSimClockUs();
   EXPECT_EQ(total, 50u);
-  EXPECT_GE(pool.MaxWorkerSimClockUs(), 25u);  // one worker did >= half
   EXPECT_LE(pool.MaxWorkerSimClockUs(), 50u);
+}
+
+// Parks every worker of \p pool on a gate (one item each: a parked
+// worker cannot take a second), calls pool.RunAll(count, job) on a
+// helper thread, and runs \p while_parked if RunAll returned within the
+// deadline. Returns whether it did. The gate opens before the helper is
+// joined either way, so a RunAll that needs a worker fails the test
+// instead of hanging it.
+bool RunAllWhileWorkersParked(server::SignerPool& pool, std::size_t count,
+                              server::SignerPool::Job job,
+                              const std::function<void()>& while_parked) {
+  std::promise<void> release;
+  std::shared_future<void> gate(release.get_future());
+  const std::size_t w = pool.worker_count();
+  std::atomic<std::size_t> parked{0};
+  server::SignerPool::Ticket park = pool.SubmitBatch(
+      w, [gate, &parked](server::SignerContext&, std::size_t) {
+        parked.fetch_add(1);
+        gate.wait();
+      });
+  while (parked.load() < w) std::this_thread::yield();
+
+  std::future<void> done = std::async(std::launch::async, [&] {
+    pool.RunAll(count, std::move(job));
+  });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  if (returned) while_parked();
+  release.set_value();
+  done.wait();
+  park.Wait();
+  return returned;
+}
+
+TEST(SignerPool, RunAllCompletesOnTheJoinerWhileWorkersAreParked) {
+  server::SignerPool pool(2);
+  // No worker is free, so RunAll returning at all proves the caller ran
+  // every item — and each on the joiner context, index worker_count().
+  std::vector<std::size_t> ran_on(16, 99);
+  EXPECT_TRUE(RunAllWhileWorkersParked(
+      pool, ran_on.size(),
+      [&ran_on](server::SignerContext& ctx, std::size_t k) {
+        ran_on[k] = ctx.index;
+        ctx.AccrueSimClockUs(3);
+      },
+      [] {}))
+      << "RunAll needed a worker: the caller did not join";
+  for (std::size_t k = 0; k < ran_on.size(); ++k) {
+    EXPECT_EQ(ran_on[k], pool.worker_count()) << "k=" << k;
+  }
+  EXPECT_EQ(pool.JoinerSimClockUs(), 16u * 3u);
+  EXPECT_EQ(pool.Steals(), 0u) << "joiner pops are not steals";
+}
+
+TEST(SignerPool, ConcurrentRunAllCallersRunOnlyTheirOwnItems) {
+  server::SignerPool pool(2);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kItems = 64;
+  // Per caller, per item: how often it ran, and on which thread when it
+  // ran on a joiner context. Disjoint per-(caller, k) writes.
+  std::vector<std::vector<int>> hits(kCallers, std::vector<int>(kItems, 0));
+  std::vector<std::vector<std::thread::id>> joined_on(
+      kCallers, std::vector<std::thread::id>(kItems));
+  std::vector<std::thread::id> caller_ids(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      caller_ids[c] = std::this_thread::get_id();
+      for (int round = 0; round < 10; ++round) {
+        pool.RunAll(kItems, [&, c](server::SignerContext& ctx,
+                                   std::size_t k) {
+          hits[c][k] += 1;
+          if (ctx.index == pool.worker_count()) {
+            joined_on[c][k] = std::this_thread::get_id();
+          }
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    for (std::size_t k = 0; k < kItems; ++k) {
+      EXPECT_EQ(hits[c][k], 10) << "caller=" << c << " k=" << k;
+      if (joined_on[c][k] != std::thread::id()) {
+        EXPECT_EQ(joined_on[c][k], caller_ids[c])
+            << "caller " << c << "'s item " << k
+            << " ran on another caller's joiner";
+      }
+    }
+  }
+}
+
+TEST(SignerPool, QueueDepthIsZeroAfterCallerHelpedRunAll) {
+  obs::Registry registry;
+  server::SignerPool pool(2);
+  pool.set_observability(&registry, "pool.");
+  auto queue_depth = [&registry] {
+    for (const auto& m : registry.Aggregate()) {
+      if (m.name == "pool.queue_depth") return m.gauge;
+    }
+    ADD_FAILURE() << "pool.queue_depth not exported";
+    return std::int64_t{-1};
+  };
+  // Every item below is popped by the joiner; each pop must leave the
+  // gauge exactly where a worker pop would, checked before any worker
+  // is free to pop.
+  EXPECT_TRUE(RunAllWhileWorkersParked(
+      pool, 8, [](server::SignerContext&, std::size_t) {},
+      [&queue_depth] { EXPECT_EQ(queue_depth(), 0); }))
+      << "RunAll needed a worker: the caller did not join";
+  EXPECT_EQ(queue_depth(), 0);
 }
 
 TEST(SignerPool, ObservabilityGaugeZeroAtQuiesceAndStealsExported) {
