@@ -54,9 +54,10 @@ int main() {
   cfg.ttp_key_bits = kBits;
   cfg.bank_key_bits = kBits;
   cfg.cp.signing_key_bits = kBits;
-  // Batch-first server defaults: purchase/redeem/exchange issuance on
-  // shard workers, coin double-spend checks sharded at the bank.
+  // Batch-first server defaults: purchase/redeem/exchange issuance on a
+  // 4-worker signer pool, coin double-spend checks sharded at the bank.
   cfg.cp.redeem_shards = 4;
+  cfg.cp.signer_pool_size = 4;
   cfg.bank.deposit_shards = 2;
   cfg.latency.per_message_us = 20'000;  // 20 ms WAN round-trip halves
   cfg.latency.per_kib_us = 100;
@@ -210,6 +211,8 @@ int main() {
   report.ConfigMetric("zipf_alpha", kZipfAlpha);
   report.ConfigMetric("key_bits", static_cast<double>(kBits));
   report.ConfigMetric("redeem_shards", static_cast<double>(cfg.cp.redeem_shards));
+  report.ConfigMetric("signer_pool_size",
+                      static_cast<double>(cfg.cp.signer_pool_size));
   report.ConfigMetric("deposit_shards",
                       static_cast<double>(cfg.bank.deposit_shards));
   report.ConfigNote("seed", "end-to-end");

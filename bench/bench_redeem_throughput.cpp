@@ -23,7 +23,7 @@
 namespace {
 
 using p2drm::rel::LicenseId;
-using p2drm::store::SpentSet;
+using p2drm::store::SpentSetShard;
 using p2drm::store::SpentSetBackend;
 
 // Big-endian counter ids: ascending n is ascending lexicographically, so
@@ -41,13 +41,13 @@ LicenseId MakeId(std::uint64_t n) {
   return id;
 }
 
-void FillSet(SpentSet* set, std::size_t n) {
+void FillSet(SpentSetShard* set, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) set->Insert(MakeId(i));
 }
 
 template <SpentSetBackend kBackend>
 void BM_RedeemCheckAndInsert(benchmark::State& state) {
-  SpentSet set(kBackend);
+  SpentSetShard set(kBackend);
   std::size_t preload = static_cast<std::size_t>(state.range(0));
   FillSet(&set, preload);
   std::uint64_t next = preload;
@@ -70,7 +70,7 @@ BENCHMARK_TEMPLATE(BM_RedeemCheckAndInsert, SpentSetBackend::kLinearScan)
 template <SpentSetBackend kBackend>
 void BM_DoubleRedeemDetect(benchmark::State& state) {
   // All lookups hit (every id already spent): the fraud-detection path.
-  SpentSet set(kBackend);
+  SpentSetShard set(kBackend);
   std::size_t preload = static_cast<std::size_t>(state.range(0));
   FillSet(&set, preload);
   std::uint64_t i = 0;

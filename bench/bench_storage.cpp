@@ -188,9 +188,9 @@ int main(int argc, char** argv) {
 
   std::printf("\n-- provider-side per-entry costs --\n");
   {
-    store::SpentSet flat(store::SpentSetBackend::kFlat);
-    store::SpentSet hash(store::SpentSetBackend::kHashSet);
-    store::SpentSet vec(store::SpentSetBackend::kSortedVector);
+    store::SpentSetShard flat(store::SpentSetBackend::kFlat);
+    store::SpentSetShard hash(store::SpentSetBackend::kHashSet);
+    store::SpentSetShard vec(store::SpentSetBackend::kSortedVector);
     for (std::uint64_t i = 0; i < 100000; ++i) {
       rel::LicenseId id;
       for (int b = 0; b < 8; ++b) {

@@ -90,7 +90,7 @@ class Scratch {
 };
 
 /// The calling thread's scratch arena. One per thread, never shared:
-/// shard workers signing concurrently each warm their own arena.
+/// signer threads signing concurrently each warm their own arena.
 Scratch& TlsScratch();
 
 // -- flat-limb primitives --------------------------------------------------

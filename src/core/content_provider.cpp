@@ -45,21 +45,18 @@ ContentProvider::ContentProvider(const ContentProviderConfig& config,
       ca_key_(std::move(ca_key)),
       key_(crypto::GenerateRsaKey(config.signing_key_bits, rng)),
       public_key_(key_.PublicKey()),
-      spent_(config.spent_backend),
       crl_(config.crl_strategy, config.expected_crl_entries) {
   GlobalOps().keygen += 1;
   if (bank_ != nullptr) bank_->OpenAccount(kMerchantAccount, 0);
-  if (config_.redeem_shards > 0) {
-    // Sharded path: the runtime owns the spent-set partitions and the
-    // per-shard journal segments (it also replays any legacy unsharded
-    // journal at the configured path).
-    server::ServerRuntimeConfig rt;
-    rt.shard_count = config_.redeem_shards;
-    rt.queue_capacity = config_.redeem_queue_capacity;
-    rt.spent_backend = config_.spent_backend;
-    rt.journal_path_prefix = config_.spent_journal_path;
-    runtime_ = std::make_unique<server::ServerRuntime>(rt);
-  }
+  // The runtime owns the spent-set partitions and the per-shard journal
+  // segments; it also replays any legacy unsharded journal at the
+  // configured path. redeem_shards == 0 runs as one shard.
+  server::ServerRuntimeConfig rt;
+  rt.shard_count = config_.redeem_shards;
+  rt.queue_capacity = config_.redeem_queue_capacity;
+  rt.spent_backend = config_.spent_backend;
+  rt.journal_path_prefix = config_.spent_journal_path;
+  runtime_ = std::make_unique<server::ServerRuntime>(rt);
   if (config_.signer_pool_size > 0) {
     signer_pool_ =
         std::make_unique<server::SignerPool>(config_.signer_pool_size);
@@ -75,26 +72,6 @@ ContentProvider::ContentProvider(const ContentProviderConfig& config,
     return time_source_ != nullptr ? time_source_() : server::SteadyNowUs();
   };
   staged_ = std::make_unique<server::StagedBatchPipeline>(std::move(staged));
-  if (config_.redeem_shards == 0 && !config_.spent_journal_path.empty()) {
-    // Crash recovery: rebuild the spent set from the journal, then reopen
-    // the journal for appending.
-    store::AppendLog::Replay(
-        config_.spent_journal_path,
-        [this](const std::vector<std::uint8_t>& record) {
-          // One id per record, or a group-committed block of N ids
-          // (AppendMany) — split by the fixed id width either way.
-          if (record.empty() || record.size() % 16 != 0) return;
-          for (std::size_t off = 0; off < record.size(); off += 16) {
-            rel::LicenseId id;
-            std::copy(record.begin() + static_cast<std::ptrdiff_t>(off),
-                      record.begin() + static_cast<std::ptrdiff_t>(off + 16),
-                      id.bytes.begin());
-            spent_.Insert(id);
-          }
-        });
-    spent_journal_ =
-        std::make_unique<store::AppendLog>(config_.spent_journal_path);
-  }
 }
 
 ContentProvider::~ContentProvider() = default;
@@ -217,41 +194,14 @@ crypto::HmacDrbg ContentProvider::ExchangeIssueRng(
 std::vector<Status> ContentProvider::SpendEligible(
     const std::vector<std::size_t>& eligible,
     const std::function<const rel::LicenseId&(std::size_t)>& id_of) {
+  // Shard-serialized: duplicates inside one batch resolve on their home
+  // shard in index order, first occurrence wins; a full shard queue sheds
+  // its slice with kOverloaded before any state change.
+  std::vector<rel::LicenseId> ids;
+  ids.reserve(eligible.size());
+  for (std::size_t i : eligible) ids.push_back(id_of(i));
   std::vector<Status> spend;
-  if (runtime_ != nullptr) {
-    // Shard-serialized: duplicates inside one batch resolve on their
-    // home shard in index order, first occurrence wins; a full shard
-    // queue sheds its slice with kOverloaded before any state change.
-    std::vector<rel::LicenseId> ids;
-    ids.reserve(eligible.size());
-    for (std::size_t i : eligible) ids.push_back(id_of(i));
-    runtime_->SpendBatch(ids, &spend, /*shed_on_full=*/true);
-  } else {
-    // Unsharded path: one batch probe over the flat table (in index
-    // order, so in-batch duplicates keep first-wins semantics) and one
-    // group-committed journal block for the fresh subset.
-    const std::size_t n = eligible.size();
-    std::vector<rel::LicenseId> ids(n);
-    for (std::size_t j = 0; j < n; ++j) ids[j] = id_of(eligible[j]);
-    std::vector<std::uint8_t> fresh(n);
-    spent_.InsertBatch(ids.data(), n, fresh.data());
-    if (spent_journal_ != nullptr) {
-      std::vector<std::uint8_t> blob;
-      blob.reserve(n * 16);
-      for (std::size_t j = 0; j < n; ++j) {
-        if (fresh[j]) {
-          blob.insert(blob.end(), ids[j].bytes.begin(), ids[j].bytes.end());
-        }
-      }
-      if (!blob.empty()) {
-        spent_journal_->AppendMany(blob.data(), 16, blob.size() / 16);
-      }
-    }
-    spend.resize(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      spend[j] = fresh[j] ? Status::kOk : Status::kAlreadySpent;
-    }
-  }
+  runtime_->SpendBatch(ids, &spend, /*shed_on_full=*/true);
   return spend;
 }
 
@@ -396,7 +346,7 @@ server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
   };
 
   // Issue: license signing and content-key wrapping on the signer pool
-  // or shard workers, one nonce-tagged RNG fork per item drawn in index
+  // (inline without one), one nonce-tagged RNG fork per item drawn in index
   // order on the dispatch thread.
   plan.begin_issue = [st](std::size_t n) {
     st->forks.reserve(n);
@@ -476,9 +426,7 @@ void ContentProvider::set_observability(const obs::Sink& sink,
        "purchase.issue");
   wire(&obs_exchange_, "exchange", "exchange.verify", "exchange.spend",
        "exchange.issue");
-  if (runtime_ != nullptr) {
-    runtime_->set_observability(sink.registry, prefix + "runtime.");
-  }
+  runtime_->set_observability(sink.registry, prefix + "runtime.");
   if (signer_pool_ != nullptr) {
     signer_pool_->set_observability(sink.registry, prefix + "signer_pool.");
   }
@@ -496,17 +444,9 @@ std::vector<std::uint8_t> ContentProvider::TransferChallengeBytes(
 }
 
 bool ContentProvider::MarkSpent(const rel::LicenseId& id) {
-  if (runtime_ != nullptr) {
-    // Serialize on the id's home shard, exactly like the batch path, so
-    // single-item and batched redemptions can never double-spend one id.
-    return runtime_->SpendOne(id) == Status::kOk;
-  }
-  if (!spent_.Insert(id)) return false;
-  if (spent_journal_ != nullptr) {
-    spent_journal_->Append(
-        std::vector<std::uint8_t>(id.bytes.begin(), id.bytes.end()));
-  }
-  return true;
+  // Serialize on the id's home shard, exactly like the batch path, so
+  // single-item and batched redemptions can never double-spend one id.
+  return runtime_->SpendOne(id) == Status::kOk;
 }
 
 ContentProvider::ExchangeResult ContentProvider::ExchangeForAnonymous(
@@ -658,7 +598,7 @@ server::BatchPipeline::Plan ContentProvider::BuildExchangePlan(
                          });
   };
 
-  // Issue: bearer-license signing on the signer pool or shard workers,
+  // Issue: bearer-license signing on the signer pool (inline without one),
   // one id-tagged fork per item drawn dispatch-side in index order.
   plan.begin_issue = [st](std::size_t n) {
     st->forks.reserve(n);
@@ -773,47 +713,20 @@ ContentProvider::IssuedRedemption ContentProvider::SignRedemption(
 
 void ContentProvider::ForEachIssue(
     std::size_t count, const std::function<void(std::size_t)>& sign_item) {
-  if (signer_pool_ != nullptr) {
-    // Dedicated pool first: issuance has no shard affinity, and keeping
-    // it off the shard workers decouples signing latency from
-    // spend-queue depth. RunAll joins (this thread signs some items
-    // itself), so borrowing sign_item and the time source by reference
-    // is safe.
-    const server::TimeSourceUs& now_us = time_source_;
-    signer_pool_->RunAll(
-        count, [&sign_item, &now_us](server::SignerContext& ctx,
-                                     std::size_t k) {
-          std::uint64_t t0 =
-              now_us != nullptr ? now_us() : server::SteadyNowUs();
-          sign_item(k);
-          std::uint64_t t1 =
-              now_us != nullptr ? now_us() : server::SteadyNowUs();
-          ctx.AccrueSimClockUs(t1 - t0);
-        });
+  if (signer_pool_ == nullptr) {
+    for (std::size_t k = 0; k < count; ++k) sign_item(k);
     return;
   }
-  if (runtime_ != nullptr) {
-    // The injected time source (when any) must be thread-safe: these
-    // tasks read it concurrently from the shard workers.
-    const server::TimeSourceUs& now_us = time_source_;
-    std::vector<server::ServerRuntime::Task> tasks;
-    tasks.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      // `sign_item` outlives the tasks because RunAll joins; its calls
-      // write disjoint per-k slots, so concurrent invocation is safe.
-      tasks.push_back([&sign_item, &now_us, k](server::ShardContext& ctx) {
-        std::uint64_t t0 =
-            now_us != nullptr ? now_us() : server::SteadyNowUs();
+  // RunAll joins (this thread signs some items itself), so borrowing
+  // sign_item and the time source by reference is safe.
+  const server::TimeSourceUs& now_us = time_source_;
+  signer_pool_->RunAll(
+      count, [&sign_item, &now_us](server::SignerContext& ctx, std::size_t k) {
+        std::uint64_t t0 = now_us != nullptr ? now_us() : server::SteadyNowUs();
         sign_item(k);
-        std::uint64_t t1 =
-            now_us != nullptr ? now_us() : server::SteadyNowUs();
-        ctx.sim_clock_us += t1 - t0;
+        std::uint64_t t1 = now_us != nullptr ? now_us() : server::SteadyNowUs();
+        ctx.AccrueSimClockUs(t1 - t0);
       });
-    }
-    runtime_->RunAll(std::move(tasks));
-  } else {
-    for (std::size_t k = 0; k < count; ++k) sign_item(k);
-  }
 }
 
 server::BatchPipeline::IssueExecutor ContentProvider::PipelineExecutor() {
@@ -927,7 +840,7 @@ server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
   plan.proceed = [](Status s) { return s == Status::kAlreadySpent; };
 
   // Issue: transcript + fresh-license signing, the dominant per-item
-  // private-key cost, fanned out to the signer pool or shard workers.
+  // private-key cost, fanned out to the signer pool (inline without one).
   plan.begin_issue = [st](std::size_t n) {
     st->forks.reserve(n);
     st->issued.resize(n);

@@ -35,7 +35,6 @@
 #include "server/server_runtime.h"
 #include "server/signer_pool.h"
 #include "server/stage_executor.h"
-#include "store/append_log.h"
 #include "store/revocation_list.h"
 #include "store/spent_set.h"
 
@@ -66,25 +65,23 @@ struct ContentProviderConfig {
   store::SpentSetBackend spent_backend = store::SpentSetBackend::kFlat;
   store::CrlStrategy crl_strategy = store::CrlStrategy::kBloomFronted;
   std::size_t expected_crl_entries = 1024;
-  /// When non-empty, every spent license id is journaled here and the
-  /// spent set is rebuilt from the journal at construction. With
-  /// redeem_shards > 0 the path becomes the shard-segment prefix
-  /// (`<path>.shard<k>`); an existing unsharded journal at the path
-  /// itself is replayed once as a migration.
+  /// When non-empty, the shard-segment prefix of the spent-license
+  /// journal: shard k journals its fresh spends to `<path>.shard<k>`, and
+  /// construction rebuilds the spent set from every segment. A legacy
+  /// unsharded journal at the path itself is replayed as well.
   std::string spent_journal_path;
-  /// Number of redemption shards. 0 keeps the classic single-threaded
-  /// spent set; N > 0 spins up a server::ServerRuntime whose N shard
-  /// workers own the spent-set partitions and journal segments.
+  /// Number of redemption shards: the server::ServerRuntime's shard
+  /// workers own the spent-set partitions and journal segments. 0 runs
+  /// as 1 shard.
   std::size_t redeem_shards = 0;
   /// Per-shard bounded-queue capacity (items). Batch redemptions that
   /// would overflow a shard queue are shed with Status::kOverloaded.
   std::size_t redeem_queue_capacity = 4096;
   /// Dedicated work-stealing signer pool for the issue stage
-  /// (server::SignerPool), sized independently of redeem_shards. 0 keeps
-  /// the classic fan-out (shard workers when redeem_shards > 0, serial
-  /// otherwise); N > 0 moves EVERY issue stage — synchronous batches and
-  /// the streaming pipeline alike — onto N pool workers, so signing
-  /// capacity decouples from spend-queue depth.
+  /// (server::SignerPool), sized independently of redeem_shards. 0 signs
+  /// inline on the dispatch thread; N > 0 runs EVERY issue stage —
+  /// synchronous batches and the streaming pipeline alike — on N pool
+  /// workers plus the joining dispatch thread.
   std::size_t signer_pool_size = 0;
   /// Streaming window: StreamRedeemBatch/StreamPurchaseBatch/
   /// StreamExchangeBatch keep at most this many batches in flight before
@@ -143,13 +140,14 @@ class ContentProvider {
   /// verify (memoized pseudonym-cert checks + one shared CRL pass),
   /// mutate (ONE PaymentProvider::DepositBatch call covering every
   /// item's coins, so double-spend checks shard at the bank), issue
-  /// (license signing and content-key wrapping on the shard workers
-  /// when redeem_shards > 0). Per-item statuses are index-aligned and
-  /// match Purchase() item for item, except that repeated certificates
-  /// inside or across batches cost one verification instead of one
-  /// each, and a failing coin no longer stops the rest of its item's
-  /// coins from being deposited (bearer-instrument rules make both
-  /// reading equally unrecoverable for the buyer; the statuses agree).
+  /// (license signing and content-key wrapping on the signer pool when
+  /// signer_pool_size > 0, inline otherwise). Per-item statuses are
+  /// index-aligned and match Purchase() item for item, except that
+  /// repeated certificates inside or across batches cost one
+  /// verification instead of one each, and a failing coin no longer stops
+  /// the rest of its item's coins from being deposited (bearer-instrument
+  /// rules make both reading equally unrecoverable for the buyer; the
+  /// statuses agree).
   std::vector<PurchaseResult> PurchaseBatch(
       const std::vector<PurchaseItem>& items);
 
@@ -163,10 +161,10 @@ class ContentProvider {
   /// Giver side of a transfer: swaps a transferable key-bound license for
   /// an anonymous bearer license. \p possession_sig is the pseudonym-key
   /// signature over TransferChallengeBytes(license.id). Semantically a
-  /// batch of one: the spend routes through the shard runtime when
-  /// configured and the bearer is signed from the same id-tagged RNG
-  /// fork ExchangeBatch draws, so single and batched exchanges are
-  /// deterministic across shard counts.
+  /// batch of one: the spend routes through the id's home shard and the
+  /// bearer is signed from the same id-tagged RNG fork ExchangeBatch
+  /// draws, so single and batched exchanges are deterministic across
+  /// shard counts and signer pool sizes.
   ExchangeResult ExchangeForAnonymous(
       const rel::License& license,
       const std::vector<std::uint8_t>& possession_sig);
@@ -182,7 +180,7 @@ class ContentProvider {
   /// signature, cached-context possession checks, one shared CRL pass
   /// over the bound keys), mutate (old-license retirement on each id's
   /// home shard — the backpressure point), issue (bearer-license
-  /// signing on the shard workers, one id-tagged RNG fork per item
+  /// signing on the signer pool, one id-tagged RNG fork per item
   /// drawn dispatch-side in index order). Per-item results are
   /// index-aligned and match ExchangeForAnonymous item for item, plus
   /// kOverloaded for items shed by a full shard queue (no trace; the
@@ -212,11 +210,11 @@ class ContentProvider {
   /// Redeems a whole batch with amortized server-side crypto: ONE
   /// screened same-key verification covers every license signature, each
   /// distinct pseudonym certificate is verified once, one shared pass
-  /// answers the CRL probes, and the spent-set updates run on the shard
-  /// runtime when redeem_shards > 0. Per-item results are index-aligned
-  /// and match RedeemAnonymous item for item, with one addition: an item
-  /// shed by a full shard queue returns Status::kOverloaded and leaves no
-  /// trace in the spent set.
+  /// answers the CRL probes, and the spent-set updates run on each id's
+  /// home shard. Per-item results are index-aligned and match
+  /// RedeemAnonymous item for item, with one addition: an item shed by a
+  /// full shard queue returns Status::kOverloaded and leaves no trace in
+  /// the spent set.
   std::vector<PurchaseResult> RedeemAnonymousBatch(
       const std::vector<RedeemItem>& items);
 
@@ -272,12 +270,12 @@ class ContentProvider {
 
   /// Wall-clock breakdown of the most recent RedeemAnonymousBatch /
   /// PurchaseBatch / ExchangeBatch call by pipeline stage
-  /// (microseconds). `issue_us` is
-  /// the dispatch thread's wait on the signing stage — with shard
-  /// workers it shrinks toward the slowest worker's share, while the
-  /// signing work itself accrues on the workers' ShardContext sim
-  /// clocks (see ShardSimClockUs), which is what the scaling bench
-  /// reports as signatures/second.
+  /// (microseconds). `issue_us` is the dispatch thread's span of the
+  /// signing stage — with a signer pool it shrinks toward the slowest
+  /// signer's share, while the signing work itself accrues on the pool's
+  /// worker and joiner sim clocks (SignerPool::WorkerSimClockUs,
+  /// JoinerSimClockUs), which is what the scaling bench reports as
+  /// signatures/second.
   /// Under FlushStreaming the stage numbers are busy sums across the
   /// window's batches and `makespan_us` is the window's wall span —
   /// cross-batch overlap makes makespan < verify+spend+issue.
@@ -297,20 +295,21 @@ class ContentProvider {
   /// Flush end); overlap shows as makespan < verify+spend+issue.
   PipelineTimings FlushStreaming();
 
-  /// Injects the clock behind LastBatchTimings and the shard workers'
+  /// Injects the clock behind LastBatchTimings and the signer pool's
   /// sim-clock accrual (null = steady_clock). A deterministic source
   /// pins stage timings in tests; a virtual-time harness can express
-  /// service cost in the same timebase as wire latency. The source is
-  /// called from the shard worker threads during the issue stage, so it
-  /// must be thread-safe.
+  /// service cost in the same timebase as wire latency. With a signer
+  /// pool the source is called from the signer threads during the issue
+  /// stage, so it must be thread-safe.
   void set_time_source(server::TimeSourceUs now_us) {
     time_source_ = std::move(now_us);
   }
 
   /// Wires tracing + metrics into every batch pipeline this provider
-  /// runs (and into the shard runtime's queue accounting, when one
-  /// exists). \p prefix namespaces the registry metric names — e.g.
-  /// "shards4." in a bench that runs one provider per shard count.
+  /// runs, into the shard runtime's queue accounting and into the signer
+  /// pool, when one exists. \p prefix namespaces the registry metric
+  /// names — e.g. "signers4." in a bench that runs one provider per
+  /// signer pool size.
   /// Call before traffic starts; idempotent (re-registration by name
   /// reuses the existing ids). Null sink members switch that endpoint
   /// off.
@@ -321,7 +320,7 @@ class ContentProvider {
   std::optional<RedemptionTranscript> TranscriptFor(
       const rel::LicenseId& id) const;
 
-  /// The shard runtime, or null when redeem_shards == 0. The non-const
+  /// The shard runtime that owns the spent set; never null. The non-const
   /// overload exists for harnesses (tests, benches) that park or probe
   /// the workers directly.
   const server::ServerRuntime* Runtime() const { return runtime_.get(); }
@@ -340,9 +339,7 @@ class ContentProvider {
 
   // -- introspection --------------------------------------------------------
 
-  std::size_t SpentSetSize() const {
-    return runtime_ != nullptr ? runtime_->SpentSize() : spent_.Size();
-  }
+  std::size_t SpentSetSize() const { return runtime_->SpentSize(); }
   std::uint64_t LicensesIssued() const { return licenses_issued_; }
   std::uint64_t DoubleRedemptionAttempts() const {
     return double_redemptions_;
@@ -383,7 +380,7 @@ class ContentProvider {
   /// Per-item RNG fork for the redemption issue stage, domain-tagged by
   /// the redeemed id. Forked on the dispatch thread in item-index order,
   /// so a fixed seed yields bit-identical issuance whether the signing
-  /// then runs serially or on the shard workers.
+  /// then runs inline or on the signer pool.
   crypto::HmacDrbg RedeemIssueRng(const rel::LicenseId& redeemed_id);
   /// Per-item RNG fork for the purchase issue stage, domain-tagged by a
   /// monotonic issuance nonce assigned in item-index order.
@@ -393,21 +390,20 @@ class ContentProvider {
   crypto::HmacDrbg ExchangeIssueRng(const rel::LicenseId& retired_id);
   /// Shared mutate stage of the redeem and exchange pipelines: marks
   /// \p eligible items' license ids spent on their home shards
-  /// (SpendBatch, shedding) or serially, in index order.
+  /// (SpendBatch, shedding), in index order per shard.
   std::vector<Status> SpendEligible(
       const std::vector<std::size_t>& eligible,
       const std::function<const rel::LicenseId&(std::size_t)>& id_of);
   /// Pure signing stage of one redemption: transcript always, fresh
   /// license when \p spend_status is kOk. Const and thread-safe (runs on
-  /// shard workers); all randomness comes from \p rng.
+  /// signer threads); all randomness comes from \p rng.
   IssuedRedemption SignRedemption(const RedeemItem& item, Status spend_status,
                                   bignum::RandomSource* rng) const;
   /// The issue-stage executor every pipeline shares: runs
   /// \p sign_item(k) for every k in [0, count) — fanned out to the
   /// signer pool when one exists, the calling thread signing alongside
   /// the workers (measured time accrued on the workers' sim clocks and
-  /// the pool's joiner clock), else to the shard workers (on the shard
-  /// sim clocks) when the runtime exists, serially otherwise.
+  /// the pool's joiner clock), inline on the calling thread otherwise.
   /// \p sign_item must be thread-safe and write only disjoint state per
   /// k; ForEachIssue blocks until every call has returned.
   void ForEachIssue(std::size_t count,
@@ -451,9 +447,7 @@ class ContentProvider {
   std::map<rel::ContentId, CatalogEntry> catalog_;
   rel::ContentId next_content_id_ = 1;
 
-  store::SpentSet spent_;  ///< unsharded path; unused when runtime_ is set
-  std::unique_ptr<store::AppendLog> spent_journal_;
-  std::unique_ptr<server::ServerRuntime> runtime_;  ///< sharded path
+  std::unique_ptr<server::ServerRuntime> runtime_;  ///< spent set + journal
   std::unique_ptr<server::SignerPool> signer_pool_;  ///< dedicated issue pool
   std::unique_ptr<server::StagedBatchPipeline> staged_;  ///< streaming front
   server::BatchVerifier verifier_;

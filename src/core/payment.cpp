@@ -51,12 +51,11 @@ PaymentProvider::PaymentProvider(std::size_t modulus_bits,
     denom_pub_.emplace(d, denom_keys_.at(d).PublicKey());
     GlobalOps().keygen += 1;
   }
-  if (config_.deposit_shards > 0) {
-    server::ServerRuntimeConfig rt;
-    rt.shard_count = config_.deposit_shards;
-    rt.queue_capacity = config_.deposit_queue_capacity;
-    runtime_ = std::make_unique<server::ServerRuntime>(rt);
-  }
+  // deposit_shards == 0 runs as one shard.
+  server::ServerRuntimeConfig rt;
+  rt.shard_count = config_.deposit_shards;
+  rt.queue_capacity = config_.deposit_queue_capacity;
+  runtime_ = std::make_unique<server::ServerRuntime>(rt);
   // Streaming deposits never fan out to a signer pool (there is no issue
   // stage); the staged pipeline contributes only its deferred-commit
   // window, so it is cheap to keep around unconditionally.
@@ -74,12 +73,9 @@ rel::LicenseId PaymentProvider::SerialKey(const Coin& coin) {
 }
 
 Status PaymentProvider::SpendSerial(const Coin& coin) {
-  Status s = runtime_ != nullptr
-                 ? runtime_->SpendOne(SerialKey(coin))
-                 : (spent_serials_.Insert(SerialKey(coin))
-                        ? Status::kOk
-                        : Status::kAlreadySpent);
-  return s == Status::kOk ? Status::kOk : Status::kDoubleSpend;
+  return runtime_->SpendOne(SerialKey(coin)) == Status::kOk
+             ? Status::kOk
+             : Status::kDoubleSpend;
 }
 
 const crypto::RsaPublicKey& PaymentProvider::DenominationKey(
@@ -210,20 +206,11 @@ server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
   // within the batch resolve there in index order, first wins.
   plan.mutate = [this, st, shed_on_full](const std::vector<std::size_t>& eligible) {
     const std::vector<DepositItem>& items = *st->items;
+    std::vector<rel::LicenseId> serials;
+    serials.reserve(eligible.size());
+    for (std::size_t i : eligible) serials.push_back(SerialKey(items[i].coin));
     std::vector<Status> spend;
-    if (runtime_ != nullptr) {
-      std::vector<rel::LicenseId> serials;
-      serials.reserve(eligible.size());
-      for (std::size_t i : eligible) serials.push_back(SerialKey(items[i].coin));
-      runtime_->SpendBatch(serials, &spend, shed_on_full);
-    } else {
-      spend.reserve(eligible.size());
-      for (std::size_t i : eligible) {
-        spend.push_back(spent_serials_.Insert(SerialKey(items[i].coin))
-                            ? Status::kOk
-                            : Status::kAlreadySpent);
-      }
-    }
+    runtime_->SpendBatch(serials, &spend, shed_on_full);
     // A repeated serial is a double-spent coin, not a re-redeemed
     // license: surface the typed payment status.
     for (Status& s : spend) {
@@ -295,9 +282,7 @@ void PaymentProvider::set_observability(const obs::Sink& sink,
     obs_deposit_.ctr_items = sink.registry->Counter(base + "items");
     obs_deposit_.ctr_shed = sink.registry->Counter(base + "shed");
   }
-  if (runtime_ != nullptr) {
-    runtime_->set_observability(sink.registry, prefix + "deposit_runtime.");
-  }
+  runtime_->set_observability(sink.registry, prefix + "deposit_runtime.");
 }
 
 Status PaymentProvider::DirectDebit(const std::string& account,

@@ -28,7 +28,6 @@
 #include "server/batch_verifier.h"
 #include "server/server_runtime.h"
 #include "server/stage_executor.h"
-#include "store/spent_set.h"
 
 namespace p2drm {
 namespace core {
@@ -55,12 +54,11 @@ struct DebitRecord {
 
 /// Bank-side configuration.
 struct PaymentProviderConfig {
-  /// Number of deposit shards. 0 keeps the classic single-threaded
-  /// spent-serial set; N > 0 spins up a server::ServerRuntime whose N
-  /// workers own the serial partitions, so coin double-spend checks
-  /// shard like the provider's spent set instead of serializing at the
-  /// bank. Single deposits route through the same shards, so batched
-  /// and unbatched traffic can never double-credit one serial.
+  /// Number of deposit shards: the server::ServerRuntime's workers own
+  /// the spent-serial partitions, so coin double-spend checks shard like
+  /// the provider's spent set. 0 runs as 1 shard. Single deposits route
+  /// through the same shards, so batched and unbatched traffic can never
+  /// double-credit one serial.
   std::size_t deposit_shards = 0;
   /// Per-shard bounded-queue capacity (coins). DepositBatch calls that
   /// would overflow a shard queue are shed with Status::kOverloaded.
@@ -97,9 +95,9 @@ class PaymentProvider {
                   const bignum::BigInt& blinded, bignum::BigInt* blind_sig);
 
   /// Anonymous deposit by a merchant. Verifies the coin, rejects double
-  /// spends by serial, credits \p merchant_account. With deposit shards
-  /// the serial check serializes on the coin's home shard (never shed),
-  /// exactly like one item of a DepositBatch.
+  /// spends by serial, credits \p merchant_account. The serial check
+  /// serializes on the coin's home shard (never shed), exactly like one
+  /// item of a DepositBatch.
   Status Deposit(const Coin& coin, const std::string& merchant_account);
 
   /// One decoded batched-deposit item (matches the wire DepositRequest).
@@ -111,7 +109,7 @@ class PaymentProvider {
   /// Deposits a whole batch through the shared server::BatchPipeline:
   /// verify (ONE screened same-key verification per denomination group,
   /// cached Montgomery contexts), mutate (serial inserts on each coin's
-  /// home shard when deposit_shards > 0 — the backpressure point),
+  /// home shard — the backpressure point),
   /// commit (account credits, serialized on the dispatch thread).
   /// Per-item statuses are index-aligned and match Deposit() item for
   /// item; a duplicate serial — within the batch or across batches and
@@ -146,7 +144,7 @@ class PaymentProvider {
     return staged_ != nullptr ? staged_->InFlight() : 0;
   }
 
-  /// The deposit shard runtime, or null when deposit_shards == 0.
+  /// The deposit shard runtime that owns the spent serials; never null.
   const server::ServerRuntime* DepositRuntime() const {
     return runtime_.get();
   }
@@ -169,8 +167,8 @@ class PaymentProvider {
   std::uint64_t DoubleSpendAttempts() const { return double_spend_attempts_; }
 
  private:
-  /// Serial-set insert for one coin: kOk (fresh) or kDoubleSpend,
-  /// routed through the shard runtime when configured.
+  /// Serial-set insert for one coin on its home shard: kOk (fresh) or
+  /// kDoubleSpend.
   Status SpendSerial(const Coin& coin);
   static rel::LicenseId SerialKey(const Coin& coin);
 
@@ -186,8 +184,7 @@ class PaymentProvider {
   std::map<std::uint32_t, crypto::RsaPrivateKey> denom_keys_;
   std::map<std::uint32_t, crypto::RsaPublicKey> denom_pub_;
   std::map<std::string, std::uint64_t> accounts_;
-  store::SpentSet spent_serials_;  ///< unsharded path; unused with runtime_
-  std::unique_ptr<server::ServerRuntime> runtime_;  ///< sharded path
+  std::unique_ptr<server::ServerRuntime> runtime_;  ///< spent serials
   /// Streaming deposit window (no signer pool: deposits sign nothing).
   std::unique_ptr<server::StagedBatchPipeline> staged_;
   server::BatchVerifier verifier_;

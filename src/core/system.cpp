@@ -81,7 +81,7 @@ void P2drmSystem::RegisterEndpoints() {
       });
   // Batch fast path for purchases (mirrors the redeem fast path below):
   // certificate verification memoizes per distinct cert, one CRL pass
-  // covers the batch, and license signing runs on the shard workers.
+  // covers the batch, and license signing runs on the signer pool.
   cp_service_.RegisterBatch<proto::PurchaseRequest>(
       [this](const std::vector<proto::PurchaseRequest>& reqs,
              std::vector<proto::PurchaseResponse>* resps) {

@@ -21,8 +21,8 @@
 ///      construction a shed item has no server-side trace and the
 ///      client may retry it verbatim.
 ///   3. **issue** — per-item private-key work fanned out through the
-///      caller's executor (ServerRuntime::RunAll on the shard workers,
-///      or a serial loop when no runtime exists). Before the fan-out,
+///      caller's executor (SignerPool::RunAll on the signer pool, or an
+///      inline loop when the provider has no pool). Before the fan-out,
 ///      `draw_fork` runs on the dispatch thread for every live item in
 ///      index order — the fork-drawing rule that makes parallel
 ///      issuance bit-identical to serial under a fixed DRBG seed.

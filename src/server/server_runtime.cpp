@@ -316,52 +316,6 @@ void ServerRuntime::Submit(std::size_t shard_index, Task task,
   }
 }
 
-void ServerRuntime::SubmitAll(
-    std::size_t shard_index, std::vector<std::pair<Task, std::size_t>> tasks) {
-  if (tasks.empty()) return;
-  std::size_t total = 0;
-  for (const auto& t : tasks) total += t.second;
-  Shard& shard = *shards_[shard_index];
-  std::unique_lock<std::mutex> lock(shard.m);
-  shard.space_cv.wait(lock, [&] {
-    return shard.pending_items == 0 ||
-           shard.pending_items + total <= config_.queue_capacity;
-  });
-  shard.pending_items += total;
-  shard.high_water = std::max(shard.high_water, shard.pending_items);
-  for (auto& t : tasks) {
-    shard.queue.emplace_back(std::move(t.first), t.second);
-  }
-  // One worker per shard: a single wake drains the whole group.
-  shard.work_cv.notify_one();
-  if (obs_registry_ != nullptr) {
-    obs_registry_->GaugeAdd(obs_queue_depth_, static_cast<std::int64_t>(total));
-  }
-}
-
-void ServerRuntime::RunAll(std::vector<Task> tasks) {
-  if (tasks.empty()) return;
-  Latch done(tasks.size());
-  const std::size_t n = shards_.size();
-  // Round-robin placement: issuance work has no shard affinity (it
-  // touches no shard-owned state), so spreading by index keeps every
-  // worker busy even when the batch's ids all hash to one shard. Each
-  // shard's whole slice then enqueues through one SubmitAll — one lock
-  // acquisition and one notify per shard instead of one per task.
-  std::vector<std::vector<std::pair<Task, std::size_t>>> groups(n);
-  for (auto& g : groups) g.reserve(tasks.size() / n + 1);
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    groups[i % n].emplace_back(
-        [task = std::move(tasks[i]), &done](ShardContext& ctx) {
-          task(ctx);
-          done.CountDown();
-        },
-        1);
-  }
-  for (std::size_t s = 0; s < n; ++s) SubmitAll(s, std::move(groups[s]));
-  done.Wait();
-}
-
 std::unique_lock<std::mutex> ServerRuntime::QuiesceShard(
     std::size_t shard_index) const {
   const Shard& shard = *shards_[shard_index];
@@ -422,10 +376,7 @@ void ServerRuntime::SpendBatch(const std::vector<rel::LicenseId>& ids,
         done.CountDown();  // shard shed: statuses stay kOverloaded
       }
     } else {
-      // Blocking spends ride the same grouped-submit path as RunAll.
-      std::vector<std::pair<Task, std::size_t>> group1;
-      group1.emplace_back(std::move(task), weight);
-      SubmitAll(s, std::move(group1));
+      Submit(s, std::move(task), weight);
     }
   }
   done.Wait();
@@ -481,11 +432,6 @@ std::size_t ServerRuntime::ShardSpentSize(std::size_t shard) const {
 std::uint64_t ServerRuntime::ShardProcessed(std::size_t shard) const {
   auto lock = QuiesceShard(shard);
   return shards_[shard]->ctx.processed;
-}
-
-std::uint64_t ServerRuntime::ShardSimClockUs(std::size_t shard) const {
-  auto lock = QuiesceShard(shard);
-  return shards_[shard]->ctx.sim_clock_us;
 }
 
 std::size_t ServerRuntime::QueueHighWater(std::size_t shard) const {

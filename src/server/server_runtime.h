@@ -105,9 +105,6 @@ struct ShardContext {
   std::size_t index = 0;
   store::SpentSetShard spent;
   store::AppendLog* journal = nullptr;  ///< null when journaling is off
-  /// Per-shard simulated-time clock (microseconds) for benches that model
-  /// service time the way the transport's LatencyModel models wire time.
-  std::uint64_t sim_clock_us = 0;
   std::uint64_t processed = 0;  ///< items completed on this shard
   /// Retained gather arena for group-committed journal blocks: fresh ids
   /// are packed here back to back before one AppendMany call. Capacity
@@ -144,24 +141,6 @@ class ServerRuntime {
 
   /// Blocking submit: waits for queue room instead of shedding.
   void Submit(std::size_t shard, Task task, std::size_t weight = 1);
-
-  /// Grouped blocking submit: enqueues every (task, weight) pair on
-  /// \p shard under ONE lock acquisition and ONE worker wake (each shard
-  /// has exactly one worker, so a single notify drains the whole group).
-  /// Waits for room for the group's total weight with the same
-  /// oversize-meets-empty-queue acceptance rule as Submit. RunAll and
-  /// SpendBatch both feed shards through here.
-  void SubmitAll(std::size_t shard,
-                 std::vector<std::pair<Task, std::size_t>> tasks);
-
-  /// Submit-and-join work queue for the issuance stage: fans \p tasks
-  /// out across the shard workers (task i runs on shard i mod N) and
-  /// blocks until every one has completed. Submission is blocking, never
-  /// shedding — backpressure (kOverloaded) is applied at the spend
-  /// stage, before any state changes; work that reaches the issue stage
-  /// is already committed and must not be dropped. Tasks must not call
-  /// back into the runtime.
-  void RunAll(std::vector<Task> tasks);
 
   /// Waits until every shard queue is empty and every worker is idle.
   void Drain() const;
@@ -220,7 +199,6 @@ class ServerRuntime {
   std::uint64_t Overloads() const;
   std::size_t ShardSpentSize(std::size_t shard) const;
   std::uint64_t ShardProcessed(std::size_t shard) const;
-  std::uint64_t ShardSimClockUs(std::size_t shard) const;
   std::size_t QueueHighWater(std::size_t shard) const;
 
   /// Journal segment path for \p shard under \p prefix.

@@ -5,10 +5,10 @@
 /// \brief Dedicated work-stealing thread pool for the issue stage.
 ///
 /// Issuance is per-item RSA private-key work with no shard affinity: it
-/// touches no shard-owned state, so routing it through the spend shards
-/// (ServerRuntime::RunAll) couples signing latency to spend-queue depth
-/// and sizes the signing capacity to the shard count. SignerPool
-/// decouples both: a small pool sized independently of the shards, one
+/// touches no shard-owned state, so it does not run on the spend shards,
+/// where it would couple signing latency to spend-queue depth and size
+/// the signing capacity to the shard count. SignerPool is instead a
+/// small pool sized independently of the shards, with one
 /// bounded-latency deque per worker, and steal-from-back balancing so a
 /// worker that drains its own slice finishes someone else's instead of
 /// idling.
@@ -70,9 +70,8 @@ struct SignerContext {
   /// context RunAll's calling thread signs on.
   std::size_t index = 0;
 
-  /// Accrues measured signing time onto this worker's simulated clock —
-  /// the same methodology as ServerRuntime's per-shard sim clocks, so
-  /// benches can report a hardware-independent issue makespan.
+  /// Accrues measured signing time onto this worker's simulated clock,
+  /// from which benches derive the pool's issue makespan.
   void AccrueSimClockUs(std::uint64_t us) {
     sim_clock_us.fetch_add(us, std::memory_order_relaxed);
   }
@@ -125,9 +124,9 @@ class SignerPool {
 
   /// SubmitBatch, then the calling thread runs not-yet-started items of
   /// this batch itself (joiner context, index worker_count()) and waits
-  /// for the rest: the synchronous executor shape, drop-in where
-  /// ServerRuntime::RunAll used to carry issue work. Completes even when
-  /// every worker is busy elsewhere.
+  /// for the rest: the synchronous issue executor behind every
+  /// ContentProvider batch call. Completes even when every worker is busy
+  /// elsewhere.
   void RunAll(std::size_t count, Job work);
 
   /// Total successful steals across all workers (relaxed; exact at

@@ -17,10 +17,11 @@
 /// The server here is a *model*, deliberately mirroring the real
 /// src/server architecture rather than invoking its crypto: one
 /// dispatcher resource (amortized verify, serialized — the dispatch
-/// thread), N shard resources (mutate + issue, serialized per shard —
-/// the shard workers), bounded per-shard backlogs that shed with a
-/// typed retry hint (the kOverloaded contract), and clients that
-/// re-send only shed items under a bounded attempt budget (the
+/// thread), N shard resources (mutate, serialized per shard — the shard
+/// workers; without modeled signers they also carry issue, a baseline
+/// with no real-provider counterpart), bounded per-shard backlogs that
+/// shed with a typed retry hint (the kOverloaded contract), and clients
+/// that re-send only shed items under a bounded attempt budget (the
 /// UserAgent retry loop). Service costs are fixed virtual-microsecond
 /// constants (defaults representative of 1024-bit RSA on commodity
 /// hardware), NOT wall-clock measurements — measurement would break the

@@ -6,8 +6,8 @@
 ///
 /// Before this file existed the repo kept three unrelated notions of
 /// simulated time: core::SimClock seconds (license expiry), the
-/// Transport's private microsecond accumulator (wire latency), and the
-/// shard workers' sim clocks (service time). sim::VirtualClock is the
+/// Transport's private microsecond accumulator (wire latency), and
+/// per-worker sim clocks (service time). sim::VirtualClock is the
 /// one microsecond-resolution timebase they all now read and advance:
 ///
 ///  * core::SimClock is a seconds *view* over a VirtualClock (owned or

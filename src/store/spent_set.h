@@ -13,14 +13,11 @@
 /// docs/storage.md) with no per-node allocations and 16-wide control-byte
 /// group probes; kHashSet stays as the differential baseline.
 ///
-/// Two classes live here:
-///  * SpentSetShard — one partition of the set. Deliberately has NO
-///    internal locking; the sharded server runtime (server/server_runtime.h)
-///    gives each shard to exactly one worker thread, which makes every
-///    partition single-writer by construction.
-///  * SpentSet — the classic single-partition set (one shard behind the
-///    original API), used by the unsharded content-provider path and the
-///    RF-2 ablation benches.
+/// SpentSetShard is one partition of the set. It deliberately has NO
+/// internal locking: the sharded server runtime (server/server_runtime.h)
+/// gives each shard to exactly one worker thread, which makes every
+/// partition single-writer by construction. The RF-2 ablation benches use
+/// a shard on its own.
 
 #include <cstdint>
 #include <unordered_set>
@@ -95,42 +92,6 @@ class SpentSetShard {
   std::unordered_set<rel::LicenseId> hash_;
   std::vector<rel::LicenseId> sorted_;  // kept ordered
   std::vector<rel::LicenseId> linear_;  // insertion order
-};
-
-/// Set of already-redeemed license ids (single partition).
-class SpentSet {
- public:
-  explicit SpentSet(SpentSetBackend backend = SpentSetBackend::kFlat)
-      : shard_(backend) {}
-
-  /// Marks \p id spent. Returns false (and changes nothing) if it was
-  /// already present — i.e. a double-redemption attempt.
-  bool Insert(const rel::LicenseId& id) { return shard_.Insert(id); }
-
-  /// True when \p id has been redeemed before.
-  bool Contains(const rel::LicenseId& id) const { return shard_.Contains(id); }
-
-  /// Batch probe; see SpentSetShard::ContainsBatch.
-  void ContainsBatch(const rel::LicenseId* ids, std::size_t count,
-                     std::uint8_t* hit) const {
-    shard_.ContainsBatch(ids, count, hit);
-  }
-
-  /// Batch insert; see SpentSetShard::InsertBatch.
-  void InsertBatch(const rel::LicenseId* ids, std::size_t count,
-                   std::uint8_t* fresh) {
-    shard_.InsertBatch(ids, count, fresh);
-  }
-
-  std::size_t Size() const { return shard_.Size(); }
-
-  /// Resident memory (RT-3 storage accounting).
-  std::size_t MemoryBytes() const { return shard_.MemoryBytes(); }
-
-  SpentSetBackend backend() const { return shard_.backend(); }
-
- private:
-  SpentSetShard shard_;
 };
 
 }  // namespace store

@@ -112,10 +112,12 @@ TEST(BatchPipelineStages, OverloadedNeverProceedsEvenIfFlowSaysSo) {
 // -- exchange batch ----------------------------------------------------------
 
 TEST(ExchangePipeline, ParallelExchangeBitIdenticalToSerial) {
-  // Same seed, same call sequence; only redeem_shards differs. The batch
-  // includes a duplicate so the kAlreadySpent leg is covered.
+  // Same seed, same call sequence; only redeem_shards and
+  // signer_pool_size differ, so inline signing is compared with pooled
+  // signing. The batch includes a duplicate so the kAlreadySpent leg is
+  // covered.
   Stack serial("exchange-identical", 0);
-  Stack sharded("exchange-identical", 4);
+  Stack sharded("exchange-identical", 4, 512, 4096, /*signer_pool_size=*/3);
 
   constexpr int kLicenses = 6;
   Pseudonym* owner_serial = serial.NewPseudonym();
@@ -534,7 +536,7 @@ TEST(ExchangeClientBatch, GiveAndReceiveBatchRoundTrip) {
   cfg.ttp_key_bits = 512;
   cfg.bank_key_bits = 512;
   cfg.cp.signing_key_bits = 512;
-  cfg.cp.redeem_shards = 2;   // exchange/redeem issue on shard workers
+  cfg.cp.redeem_shards = 2;   // exchange/redeem spends on two shards
   cfg.bank.deposit_shards = 2;  // coin checks shard at the bank
   P2drmSystem system(cfg, &rng);
   std::vector<rel::ContentId> contents;

@@ -10,6 +10,8 @@
 #include "core/smartcard.h"
 #include "crypto/blind_rsa.h"
 #include "crypto/drbg.h"
+#include "server/server_runtime.h"
+#include "store/append_log.h"
 
 namespace p2drm {
 namespace core {
@@ -264,7 +266,16 @@ TEST_F(ContentProviderTest, FraudEvidenceConvincesTtp) {
 
 TEST_F(ContentProviderTest, SpentJournalSurvivesRestart) {
   std::string journal = testing::TempDir() + "cp_journal_test.log";
-  std::remove(journal.c_str());
+  // The journal lives in shard segments (<journal>.shard<k>). A segment
+  // left behind by an earlier run would already hold this fixed-seed id,
+  // so every segment goes, not just the legacy file.
+  auto cleanup = [&journal] {
+    std::remove(journal.c_str());
+    for (std::size_t k = 0; k < 8; ++k) {
+      std::remove(server::ServerRuntime::SegmentPath(journal, k).c_str());
+    }
+  };
+  cleanup();
 
   rel::LicenseId spent_id;
   {
@@ -291,7 +302,22 @@ TEST_F(ContentProviderTest, SpentJournalSurvivesRestart) {
     ContentProvider cp(cfg, &rng_, &clock_, &bank_, ca_.PublicKey());
     EXPECT_EQ(cp.SpentSetSize(), 1u);
   }
-  std::remove(journal.c_str());
+  cleanup();
+
+  // A journal written unsharded at the path itself, as providers without
+  // a shard runtime once did, is still recovered.
+  {
+    store::AppendLog legacy(journal);
+    legacy.Append(std::vector<std::uint8_t>(spent_id.bytes.begin(),
+                                            spent_id.bytes.end()));
+  }
+  {
+    ContentProviderConfig cfg = Config();
+    cfg.spent_journal_path = journal;
+    ContentProvider cp(cfg, &rng_, &clock_, &bank_, ca_.PublicKey());
+    EXPECT_EQ(cp.SpentSetSize(), 1u);
+  }
+  cleanup();
 }
 
 TEST_F(ContentProviderTest, DistinctPseudonymCounting) {

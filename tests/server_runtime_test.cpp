@@ -7,8 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <mutex>
-#include <set>
 #include <cstdio>
 #include <future>
 #include <thread>
@@ -173,33 +171,6 @@ TEST(ServerRuntimeTest, BoundedQueueShedsWithOverloaded) {
     EXPECT_EQ(retry[i],
               st[i] == Status::kOk ? Status::kAlreadySpent : Status::kOk);
   }
-}
-
-TEST(ServerRuntimeTest, RunAllExecutesEveryTaskAcrossShards) {
-  ServerRuntimeConfig cfg;
-  cfg.shard_count = 4;
-  ServerRuntime rt(cfg);
-
-  constexpr std::size_t kTasks = 100;
-  std::atomic<std::size_t> ran{0};
-  std::mutex m;
-  std::set<std::size_t> shards_used;
-  std::vector<ServerRuntime::Task> tasks;
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    tasks.push_back([&](ShardContext& ctx) {
-      ran.fetch_add(1);
-      std::lock_guard<std::mutex> lock(m);
-      shards_used.insert(ctx.index);
-    });
-  }
-  rt.RunAll(std::move(tasks));
-  // Submit-and-join: every task has completed by the time RunAll returns,
-  // and round-robin placement used every worker.
-  EXPECT_EQ(ran.load(), kTasks);
-  EXPECT_EQ(shards_used.size(), 4u);
-
-  // An empty submission is a no-op, not a hang.
-  rt.RunAll({});
 }
 
 TEST(ServerRuntimeTest, JournalSegmentsSurviveShardCountChange) {

@@ -83,12 +83,12 @@ TEST(BloomFilter, FillRatioGrows) {
   EXPECT_LT(bf.FillRatio(), 0.8);  // near 0.5 at design load
 }
 
-// -- SpentSet (parameterized over backends) -----------------------------------
+// -- SpentSetShard (parameterized over backends) ------------------------------
 
 class SpentSetTest : public ::testing::TestWithParam<SpentSetBackend> {};
 
 TEST_P(SpentSetTest, InsertContainsBasics) {
-  SpentSet set(GetParam());
+  SpentSetShard set(GetParam());
   EXPECT_FALSE(set.Contains(Id(1)));
   EXPECT_TRUE(set.Insert(Id(1)));
   EXPECT_TRUE(set.Contains(Id(1)));
@@ -97,14 +97,14 @@ TEST_P(SpentSetTest, InsertContainsBasics) {
 }
 
 TEST_P(SpentSetTest, DoubleInsertRejected) {
-  SpentSet set(GetParam());
+  SpentSetShard set(GetParam());
   EXPECT_TRUE(set.Insert(Id(42)));
   EXPECT_FALSE(set.Insert(Id(42)));  // the double-redemption signal
   EXPECT_EQ(set.Size(), 1u);
 }
 
 TEST_P(SpentSetTest, ManyEntriesAllFound) {
-  SpentSet set(GetParam());
+  SpentSetShard set(GetParam());
   constexpr std::uint64_t kN = 500;
   for (std::uint64_t i = 0; i < kN; ++i) EXPECT_TRUE(set.Insert(Id(i)));
   EXPECT_EQ(set.Size(), kN);
@@ -115,7 +115,7 @@ TEST_P(SpentSetTest, ManyEntriesAllFound) {
 }
 
 TEST_P(SpentSetTest, MemoryAccountingNonZero) {
-  SpentSet set(GetParam());
+  SpentSetShard set(GetParam());
   for (std::uint64_t i = 0; i < 100; ++i) set.Insert(Id(i));
   EXPECT_GT(set.MemoryBytes(), 100u * 16u / 2u);
 }
@@ -134,10 +134,10 @@ INSTANTIATE_TEST_SUITE_P(Backends, SpentSetTest,
                          });
 
 TEST(SpentSet, BackendsAgree) {
-  SpentSet a(SpentSetBackend::kHashSet);
-  SpentSet b(SpentSetBackend::kSortedVector);
-  SpentSet c(SpentSetBackend::kLinearScan);
-  SpentSet d(SpentSetBackend::kFlat);
+  SpentSetShard a(SpentSetBackend::kHashSet);
+  SpentSetShard b(SpentSetBackend::kSortedVector);
+  SpentSetShard c(SpentSetBackend::kLinearScan);
+  SpentSetShard d(SpentSetBackend::kFlat);
   crypto::HmacDrbg rng("agree");
   for (int i = 0; i < 300; ++i) {
     auto id = Id(rng.NextUint64(200));  // collisions on purpose
@@ -159,8 +159,8 @@ TEST(SpentSet, BackendsAgree) {
 // rehash boundaries (the table starts at 64 slots and doubles at 7/8 load,
 // so 40k distinct ids force ~10 rehashes mid-stream).
 TEST(SpentSet, FlatMatchesHashSetRandomized) {
-  SpentSet flat(SpentSetBackend::kFlat);
-  SpentSet hash(SpentSetBackend::kHashSet);
+  SpentSetShard flat(SpentSetBackend::kFlat);
+  SpentSetShard hash(SpentSetBackend::kHashSet);
   crypto::HmacDrbg rng("flat-differential");
   for (int i = 0; i < 120000; ++i) {
     auto id = Id(rng.NextUint64(40000));  // ~3x duplicates
@@ -186,8 +186,8 @@ TEST(SpentSet, FlatMatchesHashSetRandomized) {
 // exactly the fresh ids, so a double-counted duplicate would double-journal).
 TEST(SpentSet, BatchApisMatchScalarAcrossBackends) {
   for (auto backend : {SpentSetBackend::kHashSet, SpentSetBackend::kFlat}) {
-    SpentSet batched(backend);
-    SpentSet scalar(backend);
+    SpentSetShard batched(backend);
+    SpentSetShard scalar(backend);
     crypto::HmacDrbg rng("batch-differential");
     std::vector<rel::LicenseId> ids;
     for (int round = 0; round < 40; ++round) {
@@ -223,7 +223,7 @@ TEST(SpentSet, BatchApisMatchScalarAcrossBackends) {
 // (server_runtime.cpp ReplayJournals) depends on.
 TEST(SpentSet, DuplicateImportReplayIsIdempotent) {
   for (auto backend : {SpentSetBackend::kHashSet, SpentSetBackend::kFlat}) {
-    SpentSet set(backend);
+    SpentSetShard set(backend);
     constexpr std::size_t kN = 5000;
     std::vector<rel::LicenseId> ids;
     for (std::uint64_t i = 0; i < kN; ++i) ids.push_back(Id(i));
@@ -241,8 +241,8 @@ TEST(SpentSet, DuplicateImportReplayIsIdempotent) {
 // on the same table geometry (MemoryBytes is exact for flat, so equality
 // proves the rehash points depend only on the insert sequence).
 TEST(SpentSet, FlatRehashDeterministicAcrossBatching) {
-  SpentSet one_by_one(SpentSetBackend::kFlat);
-  SpentSet in_batches(SpentSetBackend::kFlat);
+  SpentSetShard one_by_one(SpentSetBackend::kFlat);
+  SpentSetShard in_batches(SpentSetBackend::kFlat);
   constexpr std::size_t kN = 3000;  // crosses several doublings from 64
   std::vector<rel::LicenseId> ids;
   for (std::uint64_t i = 0; i < kN; ++i) ids.push_back(Id(i * 7 + 1));
