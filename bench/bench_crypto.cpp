@@ -13,6 +13,7 @@
 #include <map>
 #include <vector>
 
+#include "bignum/ifma.h"
 #include "bignum/limbs.h"
 #include "bignum/montgomery.h"
 #include "crypto/blind_rsa.h"
@@ -230,7 +231,10 @@ P2DRM_GBENCH_JSON_MAIN("bench_crypto",
                        // is written after the run, so the widths-hit and
                        // scratch counters reflect this process's work.
                        cfg.Num("bignum_limb_bits", 64);
-                       cfg.Str("powmod_window_bits", "4 (exp<=512b), 5");
+                       cfg.Str("powmod_window_bits",
+                               "1 (exp<=64b), 4 (exp<=512b), 5");
+                       cfg.Bool("cpu_ifma",
+                                p2drm::bignum::ifma::CpuSupported());
                        cfg.Str("fixed_width_powmods",
                                p2drm::bignum::DescribeKernelWidthsHit());
                        cfg.Num("scratch_heap_allocs",

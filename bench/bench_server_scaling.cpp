@@ -895,7 +895,7 @@ int main(int argc, char** argv) {
   // Bignum kernel configuration (docs/bignum.md), recorded after the run
   // so the widths-hit and scratch counters cover everything above.
   report.ConfigMetric("bignum_limb_bits", 64);
-  report.ConfigNote("powmod_window_bits", "4 (exp<=512b), 5");
+  report.ConfigNote("powmod_window_bits", "1 (exp<=64b), 4 (exp<=512b), 5");
   report.ConfigNote("fixed_width_powmods", bignum::DescribeKernelWidthsHit());
   report.ConfigMetric(
       "scratch_heap_allocs",

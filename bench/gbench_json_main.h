@@ -41,6 +41,9 @@ class GbenchConfig {
     std::snprintf(buf, sizeof(buf), "%g", value);
     entries_.push_back({key, buf, /*quoted=*/false});
   }
+  void Bool(const std::string& key, bool value) {
+    entries_.push_back({key, value ? "true" : "false", /*quoted=*/false});
+  }
   void Str(const std::string& key, const std::string& value) {
     entries_.push_back({key, value, /*quoted=*/true});
   }

@@ -12,8 +12,11 @@ std::atomic<std::uint64_t> powmod_fixed_512{0};
 std::atomic<std::uint64_t> powmod_fixed_1024{0};
 std::atomic<std::uint64_t> powmod_fixed_2048{0};
 std::atomic<std::uint64_t> powmod_generic{0};
+std::atomic<std::uint64_t> powmod_window_1{0};
 std::atomic<std::uint64_t> powmod_window_4{0};
 std::atomic<std::uint64_t> powmod_window_5{0};
+std::atomic<std::uint64_t> powmod_ifma{0};
+std::atomic<std::uint64_t> crt_pairs{0};
 std::atomic<std::uint64_t> karatsuba_mults{0};
 }  // namespace kernel_stats
 
@@ -247,8 +250,11 @@ KernelStatsSnapshot KernelStats() {
   s.powmod_fixed_1024 = ks::powmod_fixed_1024.load(std::memory_order_relaxed);
   s.powmod_fixed_2048 = ks::powmod_fixed_2048.load(std::memory_order_relaxed);
   s.powmod_generic = ks::powmod_generic.load(std::memory_order_relaxed);
+  s.powmod_window_1 = ks::powmod_window_1.load(std::memory_order_relaxed);
   s.powmod_window_4 = ks::powmod_window_4.load(std::memory_order_relaxed);
   s.powmod_window_5 = ks::powmod_window_5.load(std::memory_order_relaxed);
+  s.powmod_ifma = ks::powmod_ifma.load(std::memory_order_relaxed);
+  s.crt_pairs = ks::crt_pairs.load(std::memory_order_relaxed);
   s.karatsuba_mults = ks::karatsuba_mults.load(std::memory_order_relaxed);
   return s;
 }
@@ -258,7 +264,8 @@ std::string DescribeKernelWidthsHit() {
   return "512:" + std::to_string(s.powmod_fixed_512) +
          ",1024:" + std::to_string(s.powmod_fixed_1024) +
          ",2048:" + std::to_string(s.powmod_fixed_2048) +
-         ",generic:" + std::to_string(s.powmod_generic);
+         ",generic:" + std::to_string(s.powmod_generic) +
+         ",ifma:" + std::to_string(s.powmod_ifma);
 }
 
 }  // namespace bignum

@@ -156,16 +156,21 @@ struct KernelStatsSnapshot {
   std::uint64_t powmod_fixed_1024 = 0;
   std::uint64_t powmod_fixed_2048 = 0;
   std::uint64_t powmod_generic = 0;
+  std::uint64_t powmod_window_1 = 0;  // binary ladder (exponent <= 64 bits)
   std::uint64_t powmod_window_4 = 0;  // window size chosen per exponentiation
   std::uint64_t powmod_window_5 = 0;
+  std::uint64_t powmod_ifma = 0;      // exponentiations on the IFMA kernel
+                                      // (also counted in their width bucket)
+  std::uint64_t crt_pairs = 0;        // PowModCrtPair calls run as one pass
   std::uint64_t karatsuba_mults = 0;  // MulN calls that went Karatsuba
 };
 
 /// Point-in-time snapshot of the global kernel counters.
 KernelStatsSnapshot KernelStats();
 
-/// "512:<n>,1024:<n>,2048:<n>,generic:<n>" — which fixed-width
-/// Montgomery specializations actually ran; for bench config blocks.
+/// "512:<n>,1024:<n>,2048:<n>,generic:<n>,ifma:<n>" — which width
+/// buckets the exponentiations fell in, and how many of them ran on the
+/// IFMA kernel; for bench config blocks.
 std::string DescribeKernelWidthsHit();
 
 namespace kernel_stats {
@@ -175,8 +180,11 @@ extern std::atomic<std::uint64_t> powmod_fixed_512;
 extern std::atomic<std::uint64_t> powmod_fixed_1024;
 extern std::atomic<std::uint64_t> powmod_fixed_2048;
 extern std::atomic<std::uint64_t> powmod_generic;
+extern std::atomic<std::uint64_t> powmod_window_1;
 extern std::atomic<std::uint64_t> powmod_window_4;
 extern std::atomic<std::uint64_t> powmod_window_5;
+extern std::atomic<std::uint64_t> powmod_ifma;
+extern std::atomic<std::uint64_t> crt_pairs;
 extern std::atomic<std::uint64_t> karatsuba_mults;
 }  // namespace kernel_stats
 

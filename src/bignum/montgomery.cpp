@@ -1,6 +1,7 @@
 #include "bignum/montgomery.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -150,6 +151,250 @@ void MontSqrFixed(const Limb* n, std::size_t /*nlimbs*/, Limb n0_inv,
   SqrBody(n, N, n0_inv, out, a, t);
 }
 
+void CountWidth(std::size_t nlimbs) {
+  namespace ks = kernel_stats;
+  switch (nlimbs) {
+    case 8:  ks::powmod_fixed_512.fetch_add(1, std::memory_order_relaxed); break;
+    case 16: ks::powmod_fixed_1024.fetch_add(1, std::memory_order_relaxed); break;
+    case 32: ks::powmod_fixed_2048.fetch_add(1, std::memory_order_relaxed); break;
+    default: ks::powmod_generic.fetch_add(1, std::memory_order_relaxed); break;
+  }
+}
+
+// A scratch block of n limbs on a 64-byte boundary, so IFMA operands
+// load as whole cache lines.
+Limb* AllocAligned(Scratch* scratch, std::size_t n) {
+  Limb* p = scratch->Alloc(n + ifma::kLanes - 1);
+  const std::size_t misalign = reinterpret_cast<std::uintptr_t>(p) % 64;
+  return misalign == 0 ? p : p + (64 - misalign) / sizeof(Limb);
+}
+
+// -- kernels as the exponentiation loop sees them --------------------------
+// kWays independent exponentiations advance in lockstep: every step is
+// one kernel call covering all of them (arrays of kWays pointers). Each
+// way's values are Stride() limbs in the kernel's own Montgomery
+// representation; Enter and Leave convert from and to ordinary 64-bit
+// limbs in [0, N).
+
+using CiosMulFn = void (*)(const Limb*, std::size_t, Limb, Limb*, const Limb*,
+                           const Limb*, Limb*);
+using CiosSqrFn = void (*)(const Limb*, std::size_t, Limb, Limb*, const Limb*,
+                           Limb*);
+
+// The CIOS multiply and SOS square over 64-bit limbs, R = 2^(64 n).
+class CiosKernel {
+ public:
+  static constexpr std::size_t kWays = 1;
+
+  CiosKernel(const Limb* n, std::size_t width, Limb n0_inv, CiosMulFn mul,
+             CiosSqrFn sqr, const Limb* one_mont, const Limb* r2,
+             Scratch* scratch)
+      : n_(n), width_(width), n0_inv_(n0_inv), mul_(mul), sqr_(sqr),
+        one_mont_(one_mont), r2_(r2),
+        t_(scratch->Alloc(2 * width + 2)),  // n+2 for mul, 2n for sqr
+        unit_(scratch->Alloc(width)) {
+    std::memset(unit_, 0, width * sizeof(Limb));
+    unit_[0] = 1;
+  }
+
+  std::size_t Stride() const { return width_; }
+  const Limb* One(std::size_t /*way*/) const { return one_mont_; }
+  void Mul(Limb* const* out, const Limb* const* a, const Limb* const* b) const {
+    mul_(n_, width_, n0_inv_, out[0], a[0], b[0], t_);
+  }
+  void Sqr(Limb* const* out, const Limb* const* a) const {
+    sqr_(n_, width_, n0_inv_, out[0], a[0], t_);
+  }
+  void Enter(Limb* const* out, const Limb* const* base) const {
+    mul_(n_, width_, n0_inv_, out[0], base[0], r2_, t_);
+  }
+  void Leave(Limb* const* out, const Limb* const* acc) const {
+    mul_(n_, width_, n0_inv_, out[0], acc[0], unit_, t_);
+  }
+
+ private:
+  const Limb* n_;
+  std::size_t width_;
+  Limb n0_inv_;
+  CiosMulFn mul_;
+  CiosSqrFn sqr_;
+  const Limb* one_mont_;
+  const Limb* r2_;
+  Limb* t_;
+  Limb* unit_;
+};
+
+// One modulus's constants for the IFMA kernel.
+struct IfmaWay {
+  const Limb* n52;   // N as digits
+  Limb k0;           // -N^-1 mod 2^52
+  const Limb* one;   // R' mod N as digits
+  const Limb* r2;    // R'^2 mod N as digits
+  const Limb* n64;   // N as 64-bit limbs
+  std::size_t width; // 64-bit limbs of N
+};
+
+// The radix-2^52 almost-Montgomery kernel (ifma.h), R' = 2^(52 nd), over
+// W moduli of one digit count. Values between steps are below 2N; Leave
+// multiplies by 1, which lands in [0, N], and subtracts N once if needed.
+template <std::size_t W>
+class IfmaKernel {
+ public:
+  static constexpr std::size_t kWays = W;
+
+  IfmaKernel(ifma::AmmFn amm, std::size_t nd, const IfmaWay* ways,
+             Scratch* scratch)
+      : amm_(amm), nd_(nd), stride_(ifma::StrideFor(nd)), ways_(ways),
+        unit_(AllocAligned(scratch, stride_)) {
+    std::memset(unit_, 0, stride_ * sizeof(Limb));
+    unit_[0] = 1;
+    for (std::size_t w = 0; w < W; ++w) {
+      tmp_[w] = AllocAligned(scratch, stride_);
+    }
+  }
+
+  std::size_t Stride() const { return stride_; }
+  const Limb* One(std::size_t way) const { return ways_[way].one; }
+  void Mul(Limb* const* out, const Limb* const* a, const Limb* const* b) const {
+    ifma::AmmOperands sets[W];
+    for (std::size_t w = 0; w < W; ++w) {
+      sets[w] = {out[w], a[w], b[w], ways_[w].n52, ways_[w].k0};
+    }
+    amm_(sets, nd_);
+  }
+  void Sqr(Limb* const* out, const Limb* const* a) const { Mul(out, a, a); }
+  void Enter(Limb* const* out, const Limb* const* base) const {
+    const Limb* r2[W];
+    for (std::size_t w = 0; w < W; ++w) {
+      ifma::ToDigits(tmp_[w], stride_, base[w], ways_[w].width);
+      r2[w] = ways_[w].r2;
+    }
+    Mul(out, tmp_, r2);
+  }
+  void Leave(Limb* const* out, const Limb* const* acc) const {
+    const Limb* unit[W];
+    for (std::size_t w = 0; w < W; ++w) unit[w] = unit_;
+    Mul(tmp_, acc, unit);
+    for (std::size_t w = 0; w < W; ++w) {
+      const IfmaWay& way = ways_[w];
+      ifma::FromDigits(out[w], way.width, tmp_[w], nd_);
+      if (CmpN(out[w], way.n64, way.width) >= 0) {
+        SubN(out[w], out[w], way.n64, way.width);
+      }
+    }
+  }
+
+ private:
+  ifma::AmmFn amm_;
+  std::size_t nd_;
+  std::size_t stride_;
+  const IfmaWay* ways_;
+  Limb* unit_;
+  Limb* tmp_[W];
+};
+
+// Bit \p pos of an exponent (zero past its end).
+unsigned ExpBit(LimbSpan exp, std::size_t pos) {
+  return pos / 64 < exp.len ? (exp.ptr[pos / 64] >> (pos % 64)) & 1u : 0u;
+}
+
+// out[w] = base[w]^exp[w] mod N_w for every way of \p kernel, ordinary
+// form in and out. Exponents of at most 64 bits run a left-to-right
+// binary ladder (no table: e = 65537 is 16 squarings and 1 multiply).
+// Longer ones use fixed windows: 5 bits above 512 exponent bits, 4
+// below, with the table (base^0..base^(2^w-1)) in scratch. Ways
+// advance together; a shorter exponent reads as leading zero bits.
+template <class Kernel>
+void WindowedPowMod(const Kernel& kernel, Limb* const* out,
+                    const Limb* const* base, const LimbSpan* exp,
+                    Scratch* scratch) {
+  namespace ks = kernel_stats;
+  constexpr std::size_t W = Kernel::kWays;
+  const std::size_t stride = kernel.Stride();
+  std::size_t nbits = 0;
+  for (std::size_t w = 0; w < W; ++w) {
+    nbits = std::max(nbits, BitLengthN(exp[w]));
+  }
+
+  Scratch::Frame frame(scratch);
+  Limb* acc[W];
+  for (std::size_t w = 0; w < W; ++w) acc[w] = AllocAligned(scratch, stride);
+  const Limb* factor[W];
+
+  if (nbits <= 64) {
+    Limb* mb[W];
+    for (std::size_t w = 0; w < W; ++w) mb[w] = AllocAligned(scratch, stride);
+    if (nbits > 0) {
+      ks::powmod_window_1.fetch_add(W, std::memory_order_relaxed);
+      kernel.Enter(mb, base);
+    }
+    for (std::size_t w = 0; w < W; ++w) {
+      const bool top = nbits > 0 && ExpBit(exp[w], nbits - 1) != 0;
+      std::memcpy(acc[w], top ? mb[w] : kernel.One(w), stride * sizeof(Limb));
+    }
+    for (std::size_t pos = nbits > 0 ? nbits - 1 : 0; pos-- > 0;) {
+      kernel.Sqr(acc, acc);
+      bool any = false;
+      for (std::size_t w = 0; w < W; ++w) {
+        const bool bit = ExpBit(exp[w], pos) != 0;
+        factor[w] = bit ? mb[w] : kernel.One(w);
+        any = any || bit;
+      }
+      if (any) kernel.Mul(acc, acc, factor);
+    }
+    kernel.Leave(out, acc);
+    return;
+  }
+
+  // Window size: 5 bits amortizes better once the exponent is longer
+  // than 512 bits (the table costs 2^w - 2 multiplies); 4 below.
+  const std::size_t wbits = nbits > 512 ? 5 : 4;
+  (wbits == 5 ? ks::powmod_window_5 : ks::powmod_window_4)
+      .fetch_add(W, std::memory_order_relaxed);
+  const std::size_t table_size = std::size_t{1} << wbits;
+  Limb* table[W];
+  Limb* entry[W];
+  for (std::size_t w = 0; w < W; ++w) {
+    table[w] = AllocAligned(scratch, table_size * stride);
+    std::memcpy(table[w], kernel.One(w), stride * sizeof(Limb));
+    entry[w] = table[w] + stride;
+  }
+  kernel.Enter(entry, base);  // table[1] = base
+  const Limb* prev[W];
+  for (std::size_t i = 2; i < table_size; ++i) {
+    for (std::size_t w = 0; w < W; ++w) {
+      prev[w] = entry[w];
+      entry[w] += stride;
+      factor[w] = table[w] + stride;
+    }
+    kernel.Mul(entry, prev, factor);  // table[i] = table[i-1] * base
+  }
+
+  const std::size_t nwindows = (nbits + wbits - 1) / wbits;
+  auto window = [&](std::size_t w, std::size_t win) {
+    std::size_t idx = 0;
+    for (std::size_t bit = 0; bit < wbits; ++bit) {
+      idx |= std::size_t{ExpBit(exp[w], win * wbits + bit)} << bit;
+    }
+    return idx;
+  };
+  for (std::size_t w = 0; w < W; ++w) {
+    std::memcpy(acc[w], table[w] + window(w, nwindows - 1) * stride,
+                stride * sizeof(Limb));
+  }
+  for (std::size_t win = nwindows - 1; win-- > 0;) {
+    for (std::size_t s = 0; s < wbits; ++s) kernel.Sqr(acc, acc);
+    bool any = false;
+    for (std::size_t w = 0; w < W; ++w) {
+      const std::size_t idx = window(w, win);
+      factor[w] = table[w] + idx * stride;
+      any = any || idx != 0;
+    }
+    if (any) kernel.Mul(acc, acc, factor);
+  }
+  kernel.Leave(out, acc);
+}
+
 }  // namespace
 
 Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
@@ -196,6 +441,28 @@ Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
       mul_fn_ = &MontMulGeneric;
       sqr_fn_ = &MontSqrGeneric;
       break;
+  }
+
+  // IFMA dispatch: PowMod moves to the radix-2^52 kernel when the CPU
+  // has it; the CIOS kernels above keep the span API and MulMont.
+  const std::size_t nd = ifma::DigitsFor(modulus_.BitLength());
+  amm_fn_ = ifma::SelectAmm(nd, 1);
+  if (amm_fn_ != nullptr) {
+    amm_pair_fn_ = ifma::SelectAmm(nd, 2);
+    nd_ = nd;
+    k0_ = n0_inv_ & ifma::kDigitMask;
+    const std::size_t stride = ifma::StrideFor(nd);
+    n52_.resize(stride);
+    ifma::ToDigits(n52_.data(), stride, n64_.data(), n_);
+    std::vector<Limb> packed(n_);
+    auto to_digits = [&](const BigInt& v, std::vector<Limb>* out) {
+      Load(packed.data(), v);
+      out->resize(stride);
+      ifma::ToDigits(out->data(), stride, packed.data(), n_);
+    };
+    const BigInt r_prime = (BigInt(1) << (ifma::kDigitBits * nd)).Mod(modulus_);
+    to_digits(r_prime, &one52_);
+    to_digits((r_prime * r_prime).Mod(modulus_), &r2_52_);
   }
 }
 
@@ -270,69 +537,48 @@ BigInt Montgomery::FromMont(const BigInt& a) const {
 
 void Montgomery::PowModLimbs(Limb* out, const Limb* base, LimbSpan exp,
                              Scratch* scratch) const {
-  namespace ks = kernel_stats;
-  switch (n_) {
-    case 8:  ks::powmod_fixed_512.fetch_add(1, std::memory_order_relaxed); break;
-    case 16: ks::powmod_fixed_1024.fetch_add(1, std::memory_order_relaxed); break;
-    case 32: ks::powmod_fixed_2048.fetch_add(1, std::memory_order_relaxed); break;
-    default: ks::powmod_generic.fetch_add(1, std::memory_order_relaxed); break;
+  CountWidth(n_);
+  Scratch::Frame frame(scratch);
+  if (amm_fn_ != nullptr) {
+    kernel_stats::powmod_ifma.fetch_add(1, std::memory_order_relaxed);
+    const IfmaWay way{n52_.data(), k0_, one52_.data(), r2_52_.data(),
+                      n64_.data(), n_};
+    const IfmaKernel<1> kernel(amm_fn_, nd_, &way, scratch);
+    WindowedPowMod(kernel, &out, &base, &exp, scratch);
+  } else {
+    const CiosKernel kernel(n64_.data(), n_, n0_inv_, mul_fn_, sqr_fn_,
+                            one_mont_.data(), r2_.data(), scratch);
+    WindowedPowMod(kernel, &out, &base, &exp, scratch);
   }
+}
 
-  const std::size_t nbits = BitLengthN(exp);
-  if (nbits == 0) {
-    // base^0 = 1 (modulus > 1, so 1 is already reduced).
-    std::memset(out, 0, n_ * sizeof(Limb));
-    out[0] = 1;
+void PowModCrtPair(const Montgomery& mont_p, const Montgomery& mont_q,
+                   Limb* out_p, const Limb* base_p, LimbSpan exp_p,
+                   Limb* out_q, const Limb* base_q, LimbSpan exp_q,
+                   Scratch* scratch) {
+  if (mont_p.amm_pair_fn_ == nullptr || mont_q.amm_pair_fn_ == nullptr ||
+      mont_p.nd_ != mont_q.nd_) {
+    mont_p.PowModLimbs(out_p, base_p, exp_p, scratch);
+    mont_q.PowModLimbs(out_q, base_q, exp_q, scratch);
     return;
   }
+  namespace ks = kernel_stats;
+  CountWidth(mont_p.n_);
+  CountWidth(mont_q.n_);
+  ks::powmod_ifma.fetch_add(2, std::memory_order_relaxed);
+  ks::crt_pairs.fetch_add(1, std::memory_order_relaxed);
 
-  // Window size: 5 bits amortizes better once the exponent is longer
-  // than 512 bits (table build is 2^w multiplies); 4 below.
-  const std::size_t w = nbits > 512 ? 5 : 4;
-  (w == 5 ? ks::powmod_window_5 : ks::powmod_window_4)
-      .fetch_add(1, std::memory_order_relaxed);
-
-  const Limb* n = n64_.data();
   Scratch::Frame frame(scratch);
-  // One accumulator serves both kernels: n+2 limbs for the multiply,
-  // 2n for the square.
-  Limb* t = scratch->Alloc(2 * n_ + 2);
-  Limb* mb = scratch->Alloc(n_);
-  mul_fn_(n, n_, n0_inv_, mb, base, r2_.data(), t);  // base into Montgomery form
-
-  // Fixed-width table: table[i] = base^i in Montgomery form.
-  const std::size_t table_size = std::size_t{1} << w;
-  Limb* table = scratch->Alloc(table_size * n_);
-  std::memcpy(table, one_mont_.data(), n_ * sizeof(Limb));
-  for (std::size_t i = 1; i < table_size; ++i) {
-    mul_fn_(n, n_, n0_inv_, table + i * n_, table + (i - 1) * n_, mb, t);
-  }
-
-  Limb* acc = scratch->Alloc(n_);
-  std::memcpy(acc, one_mont_.data(), n_ * sizeof(Limb));
-  const std::size_t nwindows = (nbits + w - 1) / w;
-  for (std::size_t win = nwindows; win > 0; --win) {
-    for (std::size_t s = 0; s < w; ++s) {
-      sqr_fn_(n, n_, n0_inv_, acc, acc, t);
-    }
-    std::size_t idx = 0;
-    for (std::size_t bit = 0; bit < w; ++bit) {
-      std::size_t pos = (win - 1) * w + bit;
-      if (pos < nbits &&
-          ((exp.ptr[pos / 64] >> (pos % 64)) & 1u) != 0) {
-        idx |= std::size_t{1} << bit;
-      }
-    }
-    if (idx != 0) {
-      mul_fn_(n, n_, n0_inv_, acc, acc, table + idx * n_, t);
-    }
-  }
-
-  // Out of Montgomery form: multiply by 1.
-  Limb* one = scratch->Alloc(n_);
-  std::memset(one, 0, n_ * sizeof(Limb));
-  one[0] = 1;
-  mul_fn_(n, n_, n0_inv_, out, acc, one, t);
+  const IfmaWay ways[2] = {
+      {mont_p.n52_.data(), mont_p.k0_, mont_p.one52_.data(),
+       mont_p.r2_52_.data(), mont_p.n64_.data(), mont_p.n_},
+      {mont_q.n52_.data(), mont_q.k0_, mont_q.one52_.data(),
+       mont_q.r2_52_.data(), mont_q.n64_.data(), mont_q.n_}};
+  const IfmaKernel<2> kernel(mont_p.amm_pair_fn_, mont_p.nd_, ways, scratch);
+  Limb* const outs[2] = {out_p, out_q};
+  const Limb* const bases[2] = {base_p, base_q};
+  const LimbSpan exps[2] = {exp_p, exp_q};
+  WindowedPowMod(kernel, outs, bases, exps, scratch);
 }
 
 BigInt Montgomery::PowMod(const BigInt& base, const BigInt& exp) const {

@@ -11,16 +11,20 @@
 /// multiplication and SOS Montgomery squaring over flat 64-bit limbs
 /// (limbs.h), with branch-free fixed-width kernels for the modulus sizes
 /// RSA actually uses (512/1024/2048 bits — the CRT halves and full moduli
-/// of RsaPrivateKey / BatchVerifier). PowMod uses a windowed table (4- or
-/// 5-bit by exponent size) living entirely in scratch and squares with
-/// the dedicated kernel; the span-level entry points are allocation-free
-/// once the caller's Scratch is warm. See docs/bignum.md.
+/// of RsaPrivateKey / BatchVerifier). On CPUs with AVX-512 IFMA, PowMod
+/// runs instead on a radix-2^52 almost-Montgomery kernel (ifma.h), and
+/// PowModCrtPair runs both CRT halves of a private operation in one
+/// interleaved pass. PowMod uses a windowed table (4- or 5-bit by
+/// exponent size; a plain binary ladder for exponents of 64 bits or
+/// less) living entirely in scratch; the span-level entry points are
+/// allocation-free once the caller's Scratch is warm. See docs/bignum.md.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "bignum/bigint.h"
+#include "bignum/ifma.h"
 #include "bignum/limbs.h"
 
 namespace p2drm {
@@ -70,7 +74,9 @@ class Montgomery {
 
   /// out = base^exp mod N, base and result in ordinary form.
   /// Requires base < N (width() limbs). The windowed table and every
-  /// temporary live in \p scratch.
+  /// temporary live in \p scratch. Runs on the IFMA kernel when this
+  /// context selected it, on the CIOS/SOS kernels otherwise; the result
+  /// is the same integer either way.
   void PowModLimbs(Limb* out, const Limb* base, LimbSpan exp,
                    Scratch* scratch) const;
 
@@ -85,6 +91,12 @@ class Montgomery {
   /// what lets BigInt::PowMod reuse R^2 mod N across calls instead of
   /// rebuilding the context per exponentiation.
   static std::shared_ptr<const Montgomery> CachedFor(const BigInt& modulus);
+
+  friend void PowModCrtPair(const Montgomery& mont_p,
+                            const Montgomery& mont_q, Limb* out_p,
+                            const Limb* base_p, LimbSpan exp_p, Limb* out_q,
+                            const Limb* base_q, LimbSpan exp_q,
+                            Scratch* scratch);
 
  private:
   // Raw CIOS multiply; t is a caller-provided n_+2 limb accumulator
@@ -104,7 +116,30 @@ class Montgomery {
   std::vector<Limb> r2_;       // R^2 mod N
   MulFn mul_fn_ = nullptr;
   SqrFn sqr_fn_ = nullptr;
+
+  // IFMA path (ifma.h), chosen once by the constructor; amm_fn_ stays
+  // null when the CPU lacks IFMA or the modulus is too wide for it.
+  std::size_t nd_ = 0;          // 52-bit digits per operand
+  Limb k0_ = 0;                 // -N^-1 mod 2^52
+  std::vector<Limb> n52_;       // N as digits (StrideFor(nd_) limbs)
+  std::vector<Limb> one52_;     // R' mod N, R' = 2^(52 nd_)
+  std::vector<Limb> r2_52_;     // R'^2 mod N
+  ifma::AmmFn amm_fn_ = nullptr;       // one operand set
+  ifma::AmmFn amm_pair_fn_ = nullptr;  // two sets in one loop (CRT pair)
 };
+
+/// The two halves of an RSA-CRT private operation:
+///   out_p = base_p^exp_p mod P,  out_q = base_q^exp_q mod Q,
+/// each with the span contract of Montgomery::PowModLimbs. When both
+/// contexts run the IFMA kernel at the same digit count, the two
+/// exponentiations advance in one loop (the shorter exponent padded
+/// with leading zero bits), so each one's multiply latency hides behind
+/// the other's. Otherwise this is two PowModLimbs calls. The results
+/// are identical either way.
+void PowModCrtPair(const Montgomery& mont_p, const Montgomery& mont_q,
+                   Limb* out_p, const Limb* base_p, LimbSpan exp_p,
+                   Limb* out_q, const Limb* base_q, LimbSpan exp_q,
+                   Scratch* scratch);
 
 }  // namespace bignum
 }  // namespace p2drm

@@ -44,6 +44,10 @@ struct RsaPublicKey {
 /// Precomputed Montgomery contexts for CRT signing. Immutable once
 /// built, so any number of threads may sign with the same key
 /// concurrently (bignum::Montgomery is stateless after construction).
+/// RsaPrivateOp hands both to bignum::PowModCrtPair: on a CPU with
+/// AVX-512 IFMA, and when p and q have the same 52-bit digit count (as
+/// every key GenerateRsaKey makes does), the two half-size
+/// exponentiations run interleaved in one loop.
 struct RsaCrtContext {
   RsaCrtContext(const bignum::BigInt& p, const bignum::BigInt& q)
       : mont_p(p), mont_q(q) {}
@@ -84,6 +88,10 @@ RsaPrivateKey GenerateRsaKey(std::size_t modulus_bits,
 bignum::BigInt RsaPublicOp(const RsaPublicKey& pub, const bignum::BigInt& m);
 
 /// Raw private operation c^d mod n via CRT. Requires 0 <= c < n.
+/// With the key's cached RsaCrtContext both halves run as one
+/// bignum::PowModCrtPair (see RsaCrtContext); this is the path of every
+/// signature, blind signature, hybrid decryption and escrow opening.
+/// The result is the same integer on every kernel.
 bignum::BigInt RsaPrivateOp(const RsaPrivateKey& priv,
                             const bignum::BigInt& c);
 

@@ -93,9 +93,10 @@ std::vector<bool> BatchVerifier::VerifySameKeyBatch(
   // for fresh secret 32-bit exponents r_i. A cheating set of signatures
   // passes with probability <= 2^-32 (Bellare–Garay–Rabin). Both
   // products are computed by Straus interleaving: 32 shared squarings
-  // for the whole group plus one multiply per set exponent bit, which is
-  // what makes the screen cheaper than per-item verification even at
-  // e = 65537 once certificate work is deduplicated.
+  // for the whole group plus one multiply per set exponent bit. The
+  // group then costs one full verification instead of one per item (the
+  // count bench_server_scaling Part B gates); in time the products cost
+  // more than k per-item verifies at e = 65537 (see batch_verifier.h).
   std::vector<std::uint32_t> r(cand.size());
   for (auto& ri : r) {
     std::uint8_t buf[4];

@@ -20,7 +20,15 @@
 ///    shared across the batch. A failed screen falls back to per-item
 ///    verification to identify the bad items, so acceptance is always
 ///    sound per item; fresh random 32-bit exponents bound the screen's
-///    cheat probability by 2^-32 per batch.
+///    cheat probability by 2^-32 per batch. What the screen buys is the
+///    count — one full verification per group instead of one per item,
+///    which bench_server_scaling Part B gates — not time: at e = 65537
+///    its products (boxed MulMont) cost more than per-item verifies on
+///    the cached context. 32 signatures, 2048-bit, 4-vCPU Xeon VM: the
+///    screen takes 2.9–3.2 ms and 32 per-item verifies 2.6–2.9 ms on the
+///    portable kernels; where PowMod runs on the IFMA kernel
+///    (docs/bignum.md) the screen takes 3.0–3.1 ms and 32 per-item
+///    verifies 0.42–0.45 ms.
 ///  * Pseudonym-certificate memoization — certificates are immutable, so
 ///    each distinct certificate is verified once (keyed by digest) and
 ///    repeats within and across batches are cache hits.

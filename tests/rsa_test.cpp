@@ -31,6 +31,16 @@ const RsaPrivateKey& TestKey1024() {
   return key;
 }
 
+// Fixed-seed RSA-2048: its 1024-bit CRT halves share a digit count, so
+// on an IFMA CPU every private operation takes the PowModCrtPair path.
+const RsaPrivateKey& TestKey2048() {
+  static const RsaPrivateKey key = [] {
+    HmacDrbg rng("rsa-test-key-2048");
+    return GenerateRsaKey(2048, &rng);
+  }();
+  return key;
+}
+
 std::vector<std::uint8_t> Msg(const std::string& s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
@@ -158,35 +168,41 @@ TEST(FdhSignature, DeterministicSignature) {
 TEST(FdhSignature, ConcurrentSigningMatchesSerial) {
   // Threads share one key (and its CRT Montgomery contexts); each signs
   // its own message stream. The thread-local scratch arenas behind the
-  // 64-bit kernels must keep every result identical to the serial run.
-  const RsaPrivateKey& key = TestKey1024();
-  constexpr int kThreads = 4;
-  constexpr int kMsgsPerThread = 8;
+  // kernels must keep every result identical to the serial run. The
+  // 2048-bit key runs the CRT-pair path on IFMA CPUs.
+  for (const RsaPrivateKey* key : {&TestKey1024(), &TestKey2048()}) {
+    constexpr int kThreads = 4;
+    constexpr int kMsgsPerThread = 8;
+    const std::size_t bits = key->n.BitLength();
 
-  std::vector<std::vector<std::vector<std::uint8_t>>> serial(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kMsgsPerThread; ++i) {
-      serial[t].push_back(
-          RsaSignFdh(key, Msg("concurrent-" + std::to_string(t) + "-" +
-                              std::to_string(i))));
-    }
-  }
-
-  std::vector<std::vector<std::vector<std::uint8_t>>> threaded(kThreads);
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&key, &threaded, t] {
+    std::vector<std::vector<std::vector<std::uint8_t>>> serial(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
       for (int i = 0; i < kMsgsPerThread; ++i) {
-        threaded[t].push_back(
-            RsaSignFdh(key, Msg("concurrent-" + std::to_string(t) + "-" +
-                                std::to_string(i))));
+        serial[t].push_back(
+            RsaSignFdh(*key, Msg("concurrent-" + std::to_string(t) + "-" +
+                                 std::to_string(i))));
       }
-    });
-  }
-  for (std::thread& w : workers) w.join();
+    }
+    EXPECT_TRUE(RsaVerifyFdh(key->PublicKey(), Msg("concurrent-0-0"),
+                             serial[0][0]))
+        << bits;
 
-  for (int t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(threaded[t], serial[t]) << "thread " << t;
+    std::vector<std::vector<std::vector<std::uint8_t>>> threaded(kThreads);
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([key, &threaded, t] {
+        for (int i = 0; i < kMsgsPerThread; ++i) {
+          threaded[t].push_back(
+              RsaSignFdh(*key, Msg("concurrent-" + std::to_string(t) + "-" +
+                                   std::to_string(i))));
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(threaded[t], serial[t]) << bits << "-bit, thread " << t;
+    }
   }
 }
 

@@ -11,6 +11,10 @@ and fails the build unless:
   2. The injected "config" block shows the kernels actually ran as
      shipped: 64-bit limbs, and the 2048-bit CRT halves dispatching to
      the fixed-width-16 Montgomery kernel (not the generic loop).
+  3. On a CPU with AVX-512 IFMA (config "cpu_ifma": true), at least one
+     exponentiation ran on the IFMA kernel, so a silent fall-back to the
+     portable kernels turns CI red. Without IFMA the portable kernels are
+     the only path and this check does not apply.
 
 Usage: check_crypto_perf.py BENCH_bench_crypto.json --min-sign-ops 465
 """
@@ -58,7 +62,8 @@ def main():
         failures.append(
             f"config.bignum_limb_bits = {config.get('bignum_limb_bits')!r}, "
             "expected 64 - kernel config not recorded or wrong limb width")
-    # fixed_width_powmods looks like "512:a,1024:b,2048:c,generic:d".
+    # fixed_width_powmods looks like "512:a,1024:b,2048:c,generic:d,ifma:e";
+    # IFMA exponentiations count in their width bucket as well.
     widths = dict(kv.split(":") for kv in
                   config.get("fixed_width_powmods", "").split(",") if ":" in kv)
     if int(widths.get("1024", "0")) <= 0:
@@ -66,9 +71,16 @@ def main():
             "no PowMods dispatched to the fixed width-16 kernel "
             f"(fixed_width_powmods = {config.get('fixed_width_powmods')!r}); "
             "2048-bit CRT signing should run its 1024-bit halves there")
+    cpu_ifma = config.get("cpu_ifma")
+    if cpu_ifma is True and int(widths.get("ifma", "0")) <= 0:
+        failures.append(
+            "cpu_ifma is true but no PowMod ran on the IFMA kernel "
+            f"(fixed_width_powmods = {config.get('fixed_width_powmods')!r}); "
+            "the portable kernels ran instead")
 
     print(f"{args.bench}: {ops:.0f} ops/s (floor {args.min_sign_ops:.0f}), "
           f"limb_bits={config.get('bignum_limb_bits')}, "
+          f"cpu_ifma={cpu_ifma}, "
           f"widths_hit={config.get('fixed_width_powmods')}")
     if failures:
         for msg in failures:
