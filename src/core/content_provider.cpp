@@ -61,17 +61,15 @@ ContentProvider::ContentProvider(const ContentProviderConfig& config,
     signer_pool_ =
         std::make_unique<server::SignerPool>(config_.signer_pool_size);
   }
-  // The streaming front end always exists (it is cheap and thread-free);
-  // without a pool its issue stage runs inline, which still buys the
-  // deferred-commit window. The time lambda resolves time_source_ at
-  // call time so set_time_source keeps working after construction.
-  server::StagedBatchPipeline::Config staged;
-  staged.pool = signer_pool_.get();
-  staged.max_batches_in_flight = config_.max_batches_in_flight;
-  staged.now_us = [this] {
+  // The time lambda resolves time_source_ at call time so
+  // set_time_source keeps working after construction.
+  server::BatchPipeline::Config pipeline;
+  pipeline.pool = signer_pool_.get();
+  pipeline.max_batches_in_flight = config_.max_batches_in_flight;
+  pipeline.now_us = [this] {
     return time_source_ != nullptr ? time_source_() : server::SteadyNowUs();
   };
-  staged_ = std::make_unique<server::StagedBatchPipeline>(std::move(staged));
+  pipeline_ = std::make_unique<server::BatchPipeline>(std::move(pipeline));
 }
 
 ContentProvider::~ContentProvider() = default;
@@ -249,8 +247,8 @@ ContentProvider::PurchaseResult ContentProvider::Purchase(
   return result;
 }
 
-/// Per-batch purchase state, heap-boxed so the same plan serves both the
-/// synchronous Run and a streamed batch that outlives its Submit call.
+/// Per-batch purchase state, heap-boxed so the same plan serves both a
+/// synchronous call and a streamed batch that outlives its Submit call.
 struct ContentProvider::PurchaseBatchState {
   std::vector<PurchaseItem> owned;  ///< streaming moves the batch here
   const std::vector<PurchaseItem>* items = nullptr;  ///< always valid
@@ -382,10 +380,9 @@ std::vector<ContentProvider::PurchaseResult> ContentProvider::PurchaseBatch(
     const std::vector<PurchaseItem>& items) {
   if (items.empty()) return {};
   auto st = std::make_shared<PurchaseBatchState>();
-  st->items = &items;  // borrowed: Run completes before we return
-  server::BatchPipeline::Plan plan = BuildPurchasePlan(st);
-  last_timings_ = ToPipelineTimings(server::BatchPipeline::Run(
-      plan, PipelineExecutor(), time_source_, &obs_purchase_));
+  st->items = &items;  // borrowed: committed before we return
+  last_timings_ =
+      ToPipelineTimings(CommitThrough(BuildPurchasePlan(st), &obs_purchase_));
   return std::move(st->out);
 }
 
@@ -395,10 +392,11 @@ void ContentProvider::StreamPurchaseBatch(
   auto st = std::make_shared<PurchaseBatchState>();
   st->owned = std::move(items);
   st->items = &st->owned;
-  staged_->Submit(BuildPurchasePlan(st), &obs_purchase_,
-                  [st, cb = std::move(on_done)] {
-                    if (cb != nullptr) cb(std::move(st->out));
-                  });
+  pipeline_->Submit(BuildPurchasePlan(st), &obs_purchase_,
+                    [st, cb = std::move(on_done)](
+                        const server::BatchPipelineTimings&) {
+                      if (cb != nullptr) cb(std::move(st->out));
+                    });
 }
 
 void ContentProvider::set_observability(const obs::Sink& sink,
@@ -430,9 +428,7 @@ void ContentProvider::set_observability(const obs::Sink& sink,
   if (signer_pool_ != nullptr) {
     signer_pool_->set_observability(sink.registry, prefix + "signer_pool.");
   }
-  if (staged_ != nullptr) {
-    staged_->set_observability(sink.registry, prefix + "streaming.");
-  }
+  pipeline_->set_observability(sink.registry, prefix + "pipeline.");
 }
 
 std::vector<std::uint8_t> ContentProvider::TransferChallengeBytes(
@@ -627,10 +623,9 @@ std::vector<ContentProvider::ExchangeResult> ContentProvider::ExchangeBatch(
     const std::vector<ExchangeItem>& items) {
   if (items.empty()) return {};
   auto st = std::make_shared<ExchangeBatchState>();
-  st->items = &items;  // borrowed: Run completes before we return
-  server::BatchPipeline::Plan plan = BuildExchangePlan(st);
-  last_timings_ = ToPipelineTimings(server::BatchPipeline::Run(
-      plan, PipelineExecutor(), time_source_, &obs_exchange_));
+  st->items = &items;  // borrowed: committed before we return
+  last_timings_ =
+      ToPipelineTimings(CommitThrough(BuildExchangePlan(st), &obs_exchange_));
   return std::move(st->out);
 }
 
@@ -640,10 +635,11 @@ void ContentProvider::StreamExchangeBatch(
   auto st = std::make_shared<ExchangeBatchState>();
   st->owned = std::move(items);
   st->items = &st->owned;
-  staged_->Submit(BuildExchangePlan(st), &obs_exchange_,
-                  [st, cb = std::move(on_done)] {
-                    if (cb != nullptr) cb(std::move(st->out));
-                  });
+  pipeline_->Submit(BuildExchangePlan(st), &obs_exchange_,
+                    [st, cb = std::move(on_done)](
+                        const server::BatchPipelineTimings&) {
+                      if (cb != nullptr) cb(std::move(st->out));
+                    });
 }
 
 RedemptionTranscript ContentProvider::MakeTranscript(
@@ -711,29 +707,13 @@ ContentProvider::IssuedRedemption ContentProvider::SignRedemption(
   return out;
 }
 
-void ContentProvider::ForEachIssue(
-    std::size_t count, const std::function<void(std::size_t)>& sign_item) {
-  if (signer_pool_ == nullptr) {
-    for (std::size_t k = 0; k < count; ++k) sign_item(k);
-    return;
-  }
-  // RunAll joins (this thread signs some items itself), so borrowing
-  // sign_item and the time source by reference is safe.
-  const server::TimeSourceUs& now_us = time_source_;
-  signer_pool_->RunAll(
-      count, [&sign_item, &now_us](server::SignerContext& ctx, std::size_t k) {
-        std::uint64_t t0 = now_us != nullptr ? now_us() : server::SteadyNowUs();
-        sign_item(k);
-        std::uint64_t t1 = now_us != nullptr ? now_us() : server::SteadyNowUs();
-        ctx.AccrueSimClockUs(t1 - t0);
-      });
-}
-
-server::BatchPipeline::IssueExecutor ContentProvider::PipelineExecutor() {
-  return [this](std::size_t count,
-                const std::function<void(std::size_t)>& sign_item) {
-    ForEachIssue(count, sign_item);
-  };
+server::BatchPipelineTimings ContentProvider::CommitThrough(
+    server::BatchPipeline::Plan plan, const server::PipelineObs* pobs) {
+  server::BatchPipelineTimings own;
+  pipeline_->Submit(std::move(plan), pobs,
+                    [&own](const server::BatchPipelineTimings& t) { own = t; });
+  pipeline_->Flush();
+  return own;
 }
 
 ContentProvider::PurchaseResult ContentProvider::CommitRedemption(
@@ -866,10 +846,9 @@ std::vector<ContentProvider::PurchaseResult>
 ContentProvider::RedeemAnonymousBatch(const std::vector<RedeemItem>& items) {
   if (items.empty()) return {};
   auto st = std::make_shared<RedeemBatchState>();
-  st->items = &items;  // borrowed: Run completes before we return
-  server::BatchPipeline::Plan plan = BuildRedeemPlan(st);
-  last_timings_ = ToPipelineTimings(server::BatchPipeline::Run(
-      plan, PipelineExecutor(), time_source_, &obs_redeem_));
+  st->items = &items;  // borrowed: committed before we return
+  last_timings_ =
+      ToPipelineTimings(CommitThrough(BuildRedeemPlan(st), &obs_redeem_));
   return std::move(st->out);
 }
 
@@ -879,14 +858,15 @@ void ContentProvider::StreamRedeemBatch(
   auto st = std::make_shared<RedeemBatchState>();
   st->owned = std::move(items);
   st->items = &st->owned;
-  staged_->Submit(BuildRedeemPlan(st), &obs_redeem_,
-                  [st, cb = std::move(on_done)] {
-                    if (cb != nullptr) cb(std::move(st->out));
-                  });
+  pipeline_->Submit(BuildRedeemPlan(st), &obs_redeem_,
+                    [st, cb = std::move(on_done)](
+                        const server::BatchPipelineTimings&) {
+                      if (cb != nullptr) cb(std::move(st->out));
+                    });
 }
 
 ContentProvider::PipelineTimings ContentProvider::FlushStreaming() {
-  last_timings_ = ToPipelineTimings(staged_->Flush());
+  last_timings_ = ToPipelineTimings(pipeline_->Flush());
   return last_timings_;
 }
 

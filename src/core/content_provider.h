@@ -34,7 +34,6 @@
 #include "server/batch_verifier.h"
 #include "server/server_runtime.h"
 #include "server/signer_pool.h"
-#include "server/stage_executor.h"
 #include "store/revocation_list.h"
 #include "store/spent_set.h"
 
@@ -79,13 +78,12 @@ struct ContentProviderConfig {
   std::size_t redeem_queue_capacity = 4096;
   /// Dedicated work-stealing signer pool for the issue stage
   /// (server::SignerPool), sized independently of redeem_shards. 0 signs
-  /// inline on the dispatch thread; N > 0 runs EVERY issue stage —
-  /// synchronous batches and the streaming pipeline alike — on N pool
-  /// workers plus the joining dispatch thread.
+  /// on the dispatch thread; N > 0 runs EVERY issue stage — synchronous
+  /// and streamed batches alike — on N pool workers plus the dispatch
+  /// thread, which joins each batch's signing at its commit.
   std::size_t signer_pool_size = 0;
-  /// Streaming window: StreamRedeemBatch/StreamPurchaseBatch/
-  /// StreamExchangeBatch keep at most this many batches in flight before
-  /// Submit blocks on the oldest batch's commit.
+  /// Streaming window: the Stream* calls keep at most this many batches
+  /// in flight before committing the oldest.
   std::size_t max_batches_in_flight = 4;
 };
 
@@ -218,17 +216,19 @@ class ContentProvider {
   std::vector<PurchaseResult> RedeemAnonymousBatch(
       const std::vector<RedeemItem>& items);
 
-  // -- streaming pipeline (cross-batch stage overlap) -----------------------
+  // -- streaming (cross-batch stage overlap) ---------------------------------
   //
-  // The synchronous batch calls above are submit-and-join: batch B's
-  // issue stage finishes before batch B+1's verify starts. The Stream*
-  // entry points instead run verify/mutate/draw_fork inline (so sheds
-  // surface immediately and the DRBG stream stays in submit order), fan
-  // issue out to the signer pool, and defer the commit tail — batch
-  // B+1's verify overlaps batch B's signing. Results arrive through
-  // \p on_done, invoked on the caller's own thread at the batch's commit
-  // point (inside a later Stream* call once the in-flight window fills,
-  // or inside FlushStreaming). Ordering contract: commits apply in
+  // Every batch call above and below goes through the provider's one
+  // server::BatchPipeline. A synchronous call submits its batch and
+  // commits through it: any streamed batches still in flight commit
+  // first, in submit order, and the call closes the streaming timing
+  // window. The Stream* entry points instead return with the batch in
+  // flight (verify, mutate and the fork draw already done, so sheds
+  // surface immediately and the DRBG stream stays in submit order), and
+  // batch B+1's verify overlaps batch B's signing. Results arrive
+  // through \p on_done, invoked on the caller's own thread at the batch's
+  // commit point (inside a later batch call once the in-flight window
+  // fills, or inside FlushStreaming). Ordering contract: commits apply in
   // submit order, each batch's tail in index order, and under a fixed
   // seed the issued bytes are identical to calling the synchronous
   // batch entry points in the same order. Batches streamed concurrently
@@ -255,9 +255,7 @@ class ContentProvider {
   // commits every in-flight streamed batch and closes the window.
 
   /// Streamed batches submitted but not yet committed.
-  std::size_t StreamingInFlight() const {
-    return staged_ != nullptr ? staged_->InFlight() : 0;
-  }
+  std::size_t StreamingInFlight() const { return pipeline_->InFlight(); }
 
   /// The dedicated signer pool, or null when signer_pool_size == 0.
   const server::SignerPool* Pool() const { return signer_pool_.get(); }
@@ -268,17 +266,14 @@ class ContentProvider {
     return verifier_.stats();
   }
 
-  /// Wall-clock breakdown of the most recent RedeemAnonymousBatch /
-  /// PurchaseBatch / ExchangeBatch call by pipeline stage
-  /// (microseconds). `issue_us` is the dispatch thread's span of the
-  /// signing stage — with a signer pool it shrinks toward the slowest
-  /// signer's share, while the signing work itself accrues on the pool's
-  /// worker and joiner sim clocks (SignerPool::WorkerSimClockUs,
-  /// JoinerSimClockUs), which is what the scaling bench reports as
-  /// signatures/second.
-  /// Under FlushStreaming the stage numbers are busy sums across the
-  /// window's batches and `makespan_us` is the window's wall span —
-  /// cross-batch overlap makes makespan < verify+spend+issue.
+  /// Stage breakdown (microseconds) of the most recent
+  /// RedeemAnonymousBatch / PurchaseBatch / ExchangeBatch call, or of the
+  /// window FlushStreaming closed; the definitions are
+  /// server::BatchPipelineTimings'. `issue_us` runs from the fork draw to
+  /// the end of the batch's last signature — with a signer pool it
+  /// shrinks toward the slowest signer's share, while the signing work
+  /// itself accrues on the pool's worker and joiner sim clocks
+  /// (SignerPool::WorkerSimClockUs, JoinerSimClockUs).
   struct PipelineTimings {
     double verify_us = 0;  ///< batch-verify stage (signatures, certs, CRL)
     double spend_us = 0;   ///< shard-serialized state stage (spend set / bank)
@@ -288,11 +283,11 @@ class ContentProvider {
   };
   PipelineTimings LastBatchTimings() const { return last_timings_; }
 
-  /// Joins and commits every in-flight streamed batch (running their
-  /// on_done callbacks) and closes the timing window. The returned
-  /// timings — also visible via LastBatchTimings — carry per-stage BUSY
-  /// sums over the window plus `makespan_us` (first Stream* call to
-  /// Flush end); overlap shows as makespan < verify+spend+issue.
+  /// Commits every in-flight streamed batch (running their on_done
+  /// callbacks) and closes the timing window. The returned timings — also
+  /// visible via LastBatchTimings — sum each stage over the window's
+  /// batches, and `makespan_us` runs from the first verify start to the
+  /// last issue end; overlap shows as makespan < verify+spend+issue.
   PipelineTimings FlushStreaming();
 
   /// Injects the clock behind LastBatchTimings and the signer pool's
@@ -399,22 +394,16 @@ class ContentProvider {
   /// signer threads); all randomness comes from \p rng.
   IssuedRedemption SignRedemption(const RedeemItem& item, Status spend_status,
                                   bignum::RandomSource* rng) const;
-  /// The issue-stage executor every pipeline shares: runs
-  /// \p sign_item(k) for every k in [0, count) — fanned out to the
-  /// signer pool when one exists, the calling thread signing alongside
-  /// the workers (measured time accrued on the workers' sim clocks and
-  /// the pool's joiner clock), inline on the calling thread otherwise.
-  /// \p sign_item must be thread-safe and write only disjoint state per
-  /// k; ForEachIssue blocks until every call has returned.
-  void ForEachIssue(std::size_t count,
-                    const std::function<void(std::size_t)>& sign_item);
-  /// ForEachIssue wrapped for BatchPipeline::Run.
-  server::BatchPipeline::IssueExecutor PipelineExecutor();
   /// State-mutating stage of one redemption: transcript map, fraud
   /// evidence, pseudonym bookkeeping, issued-key map. Dispatch thread
   /// only, in item-index order.
   PurchaseResult CommitRedemption(const RedeemItem& item,
                                   IssuedRedemption issued);
+
+  /// Submits \p plan and commits through it; returns the batch's own
+  /// timings. The synchronous batch calls' one way into the pipeline.
+  server::BatchPipelineTimings CommitThrough(server::BatchPipeline::Plan plan,
+                                             const server::PipelineObs* pobs);
 
   // Heap-boxed per-batch state for the shared plan builders: the
   // synchronous batch calls and the streaming Stream* calls run the SAME
@@ -449,7 +438,6 @@ class ContentProvider {
 
   std::unique_ptr<server::ServerRuntime> runtime_;  ///< spent set + journal
   std::unique_ptr<server::SignerPool> signer_pool_;  ///< dedicated issue pool
-  std::unique_ptr<server::StagedBatchPipeline> staged_;  ///< streaming front
   server::BatchVerifier verifier_;
   store::RevocationList crl_;
   // First-seen transcript per redeemed license id (fraud evidence basis).
@@ -470,6 +458,10 @@ class ContentProvider {
   server::PipelineObs obs_redeem_;
   server::PipelineObs obs_purchase_;
   server::PipelineObs obs_exchange_;
+  // Declared last so it is destroyed first: its destructor commits the
+  // batches still in flight, whose commit tails and PipelineObs pointers
+  // reach the members above.
+  std::unique_ptr<server::BatchPipeline> pipeline_;
 };
 
 }  // namespace core

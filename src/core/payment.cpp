@@ -56,12 +56,6 @@ PaymentProvider::PaymentProvider(std::size_t modulus_bits,
   rt.shard_count = config_.deposit_shards;
   rt.queue_capacity = config_.deposit_queue_capacity;
   runtime_ = std::make_unique<server::ServerRuntime>(rt);
-  // Streaming deposits never fan out to a signer pool (there is no issue
-  // stage); the staged pipeline contributes only its deferred-commit
-  // window, so it is cheap to keep around unconditionally.
-  server::StagedBatchPipeline::Config staged;
-  staged.max_batches_in_flight = config_.max_batches_in_flight;
-  staged_ = std::make_unique<server::StagedBatchPipeline>(std::move(staged));
 }
 
 PaymentProvider::~PaymentProvider() = default;
@@ -138,18 +132,15 @@ Status PaymentProvider::Deposit(const Coin& coin,
   return Status::kOk;
 }
 
-/// Per-batch deposit state, heap-boxed so the streaming path can keep a
-/// batch alive between submission and its deferred commit. `items`
-/// borrows from the caller on the synchronous path (Run completes before
-/// DepositBatch returns) and points at `owned` on the streaming path.
+/// Per-batch deposit state. `items` borrows from the DepositBatch caller:
+/// the batch commits before the call returns.
 struct PaymentProvider::DepositBatchState {
-  std::vector<DepositItem> owned;
   const std::vector<DepositItem>* items = nullptr;
   std::vector<Status> out;
 };
 
 server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
-    std::shared_ptr<DepositBatchState> st, bool shed_on_full) {
+    DepositBatchState* st, bool shed_on_full) {
   const std::vector<DepositItem>& items = *st->items;
   st->out.assign(items.size(), Status::kBadRequest);
 
@@ -240,31 +231,11 @@ std::vector<Status> PaymentProvider::DepositBatch(
     const std::vector<DepositItem>& items, bool shed_on_full) {
   if (items.empty()) return {};
 
-  auto st = std::make_shared<DepositBatchState>();
-  st->items = &items;  // borrowed: Run completes before we return
-  server::BatchPipeline::Plan plan = BuildDepositPlan(st, shed_on_full);
-  server::BatchPipeline::Run(plan, nullptr, nullptr, &obs_deposit_);
-  return std::move(st->out);
-}
-
-void PaymentProvider::StreamDepositBatch(
-    std::vector<DepositItem> items,
-    std::function<void(std::vector<Status>)> on_done, bool shed_on_full) {
-  if (items.empty()) {
-    if (on_done != nullptr) on_done({});
-    return;
-  }
-  auto st = std::make_shared<DepositBatchState>();
-  st->owned = std::move(items);
-  st->items = &st->owned;
-  staged_->Submit(BuildDepositPlan(st, shed_on_full), &obs_deposit_,
-                  [st, cb = std::move(on_done)] {
-                    if (cb != nullptr) cb(std::move(st->out));
-                  });
-}
-
-server::BatchPipelineTimings PaymentProvider::FlushDeposits() {
-  return staged_->Flush();
+  DepositBatchState st;
+  st.items = &items;
+  pipeline_.Submit(BuildDepositPlan(&st, shed_on_full), &obs_deposit_);
+  pipeline_.Flush();
+  return std::move(st.out);
 }
 
 void PaymentProvider::set_observability(const obs::Sink& sink,

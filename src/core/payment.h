@@ -14,7 +14,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -27,7 +26,6 @@
 #include "server/batch_pipeline.h"
 #include "server/batch_verifier.h"
 #include "server/server_runtime.h"
-#include "server/stage_executor.h"
 
 namespace p2drm {
 namespace core {
@@ -63,9 +61,6 @@ struct PaymentProviderConfig {
   /// Per-shard bounded-queue capacity (coins). DepositBatch calls that
   /// would overflow a shard queue are shed with Status::kOverloaded.
   std::size_t deposit_queue_capacity = 4096;
-  /// Streaming deposit window: how many StreamDepositBatch batches may
-  /// sit between submit and commit before the oldest is forced through.
-  std::size_t max_batches_in_flight = 4;
 };
 
 /// The bank / payment provider actor.
@@ -106,7 +101,8 @@ class PaymentProvider {
     std::string merchant_account;
   };
 
-  /// Deposits a whole batch through the shared server::BatchPipeline:
+  /// Deposits a whole batch through the bank's server::BatchPipeline
+  /// (a window of one, committed before the call returns):
   /// verify (ONE screened same-key verification per denomination group,
   /// cached Montgomery contexts), mutate (serial inserts on each coin's
   /// home shard — the backpressure point),
@@ -119,30 +115,6 @@ class PaymentProvider {
   /// not burned and the coin may be re-deposited.
   std::vector<Status> DepositBatch(const std::vector<DepositItem>& items,
                                    bool shed_on_full = true);
-
-  // -- streaming deposits (stage-pipelined submission) -------------------
-
-  /// Streaming submission of one deposit batch through the bank's
-  /// server::StagedBatchPipeline. Verify and the serial-shard mutate run
-  /// inline (so cross-batch double-spend resolution stays submission-
-  /// ordered); the account-credit commit is deferred until the in-flight
-  /// window fills or FlushDeposits() runs, at which point \p on_done
-  /// receives the index-aligned statuses. Deposits have no issue stage,
-  /// so the win here is the deferred-commit window, not signer fan-out.
-  /// Serial: for a fixed submission order the statuses and resulting
-  /// balances are identical to calling DepositBatch per batch.
-  void StreamDepositBatch(std::vector<DepositItem> items,
-                          std::function<void(std::vector<Status>)> on_done,
-                          bool shed_on_full = true);
-
-  /// Commits every in-flight streamed deposit batch (oldest first) and
-  /// fires the pending callbacks. Returns the aggregate busy timings.
-  server::BatchPipelineTimings FlushDeposits();
-
-  /// Streamed deposit batches submitted but not yet committed.
-  std::size_t StreamingDepositsInFlight() const {
-    return staged_ != nullptr ? staged_->InFlight() : 0;
-  }
 
   /// The deposit shard runtime that owns the spent serials; never null.
   const server::ServerRuntime* DepositRuntime() const {
@@ -172,12 +144,10 @@ class PaymentProvider {
   Status SpendSerial(const Coin& coin);
   static rel::LicenseId SerialKey(const Coin& coin);
 
-  /// Heap-boxed per-batch state so one plan builder serves both the
-  /// synchronous DepositBatch and the streaming path (where the batch
-  /// outlives the submitting call).
+  /// Per-batch deposit state the plan's callbacks share.
   struct DepositBatchState;
-  server::BatchPipeline::Plan BuildDepositPlan(
-      std::shared_ptr<DepositBatchState> st, bool shed_on_full);
+  server::BatchPipeline::Plan BuildDepositPlan(DepositBatchState* st,
+                                               bool shed_on_full);
 
   PaymentProviderConfig config_;
   bignum::RandomSource* rng_;
@@ -185,13 +155,14 @@ class PaymentProvider {
   std::map<std::uint32_t, crypto::RsaPublicKey> denom_pub_;
   std::map<std::string, std::uint64_t> accounts_;
   std::unique_ptr<server::ServerRuntime> runtime_;  ///< spent serials
-  /// Streaming deposit window (no signer pool: deposits sign nothing).
-  std::unique_ptr<server::StagedBatchPipeline> staged_;
   server::BatchVerifier verifier_;
   std::vector<DebitRecord> debit_log_;
   std::uint64_t deposited_coins_ = 0;
   std::uint64_t double_spend_attempts_ = 0;
   server::PipelineObs obs_deposit_;  ///< null endpoints = off
+  /// Window of one, no signer pool (deposits sign nothing). Declared last
+  /// so it is destroyed before the state its commit tails write.
+  server::BatchPipeline pipeline_{server::BatchPipeline::Config{}};
 };
 
 /// Client-side helper: splits \p amount into available denominations,

@@ -2,12 +2,11 @@
 #define P2DRM_SERVER_BATCH_PIPELINE_H_
 
 /// \file batch_pipeline.h
-/// \brief The generic three-stage batch machinery every metered server
-/// flow shares.
+/// \brief The one batch orchestrator every metered server flow shares.
 ///
 /// Redeem, purchase, exchange and coin deposit all process a batch the
-/// same way; this class is that shape, extracted so each flow supplies
-/// only its callbacks instead of its own copy of the stage loop:
+/// same way; this class is that shape, so each flow supplies only its
+/// callbacks instead of its own copy of the stage loop:
 ///
 ///   1. **verify** — amortized, read-only classification on the dispatch
 ///      thread (screened same-key signature checks, memoized certificate
@@ -20,26 +19,55 @@
 ///      `reject`, and never reaches the issue or commit stages — by
 ///      construction a shed item has no server-side trace and the
 ///      client may retry it verbatim.
-///   3. **issue** — per-item private-key work fanned out through the
-///      caller's executor (SignerPool::RunAll on the signer pool, or an
-///      inline loop when the provider has no pool). Before the fan-out,
-///      `draw_fork` runs on the dispatch thread for every live item in
-///      index order — the fork-drawing rule that makes parallel
-///      issuance bit-identical to serial under a fixed DRBG seed.
-///      A short **commit** tail then applies the result mutations on
-///      the dispatch thread, again in index order.
+///   3. **issue** — per-item private-key work. `draw_fork` first runs on
+///      the dispatch thread for every live item in index order — the
+///      fork-drawing rule that makes parallel issuance bit-identical to
+///      serial under a fixed DRBG seed — then the items are dealt to the
+///      signer pool, when there is one.
+///   4. **commit** — joins the issue stage and applies the result
+///      mutations on the dispatch thread, again in index order.
 ///
-/// The pipeline owns stage ordering, the live-item bookkeeping and the
-/// per-stage wall timings; it holds no state of its own, so one flow
-/// may run it reentrantly with different plans.
+/// A batch's life is split in two:
+///
+///   Submit(plan):  verify -> mutate -> reject/shed -> draw_fork -> deal
+///   commit:        SignerPool::Join (the dispatch thread signs the
+///                  batch's not-yet-started items, then waits) -> commit
+///                  tail -> on_commit
+///
+/// With no pool, the join runs every issue item on the dispatch thread.
+/// A batch commits when the in-flight window is full (inside a later
+/// Submit) or at Flush. A synchronous batch call is Submit + Flush: it
+/// commits every earlier batch, in submit order, and then its own. With
+/// a window above one, batch B+1's verify runs while batch B signs on
+/// the pool — the cross-batch overlap.
+///
+/// Ordering and determinism contract:
+///  * Verify and draw_fork run inside Submit, so every shared-RNG draw
+///    happens on the dispatch thread in submit order — the DRBG stream
+///    is the same whatever the window, which makes windowed issuance
+///    bit-identical to one batch at a time under a fixed seed.
+///  * kOverloaded sheds surface inside Submit (reject runs before Submit
+///    returns) and never reach issue or commit.
+///  * Commits apply strictly in submit order, each batch's tail in
+///    ascending k, on the dispatch thread, at points fixed by the
+///    Submit/Flush call sequence — never "when the signers happen to
+///    finish".
+///  * Corollary: batches in flight together must be commit-independent —
+///    a flow whose verify reads state its own commit writes (exchange
+///    consulting the issued-key map) may only overlap batches that do
+///    not depend on each other's commits.
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/errors.h"
 #include "obs/trace.h"
+#include "server/signer_pool.h"
 
 namespace p2drm {
 namespace server {
@@ -48,8 +76,8 @@ namespace server {
 /// "wall clock" (SteadyNowUs). A deterministic source makes
 /// BatchPipelineTimings / ContentProvider::LastBatchTimings testable and
 /// lets virtual-time harnesses express service cost in the same timebase
-/// as wire latency. Must be safe to call from the issue-stage executor's
-/// worker threads.
+/// as wire latency. With a signer pool it is also called from the
+/// workers, so it must be thread-safe then.
 using TimeSourceUs = std::function<std::uint64_t()>;
 
 /// The default TimeSourceUs: steady_clock, microseconds.
@@ -60,33 +88,33 @@ inline std::uint64_t SteadyNowUs() {
           .count());
 }
 
-/// Wall-clock per-stage breakdown of one pipeline run (microseconds).
-/// `issue_us` is the dispatch thread's wait on the fan-out; the signing
-/// work itself accrues wherever the executor runs it.
-/// Under the synchronous Run the three stage numbers are consecutive
-/// wall spans and `makespan_us` is their end-to-end span (verify start
-/// to issue join; the commit tail samples no clock, so it is excluded —
-/// same as it always was from the per-stage numbers). Under the
-/// streaming StagedBatchPipeline the stage numbers are per-stage BUSY
-/// sums across the window's batches while `makespan_us` is the window's
-/// wall span — overlap makes makespan < verify+mutate+issue, which is
-/// exactly what bench_server_scaling Part G gates.
+/// Per-stage timings (microseconds). For one batch: `verify_us` and
+/// `mutate_us` are the dispatch thread's wall spans of those stages;
+/// `issue_us` runs from the start of the fork draw to the end of the
+/// batch's last issue item; `makespan_us` runs from verify start to that
+/// issue end (the commit tail is excluded). For a window of batches the
+/// three stage numbers are sums over its batches, and `makespan_us` runs
+/// from the first verify start to the last issue end — overlap makes it
+/// smaller than the stage sum. Busy signing time lives only on the
+/// signer clocks (SignerPool::WorkerSimClockUs / JoinerSimClockUs).
 struct BatchPipelineTimings {
-  double verify_us = 0;  ///< stage 1: amortized classification
-  double mutate_us = 0;  ///< stage 2: serialized state change
-  double issue_us = 0;   ///< stage 3: fork draw + fan-out + join
-  double makespan_us = 0;  ///< end-to-end span (see above)
+  double verify_us = 0;
+  double mutate_us = 0;
+  double issue_us = 0;
+  double makespan_us = 0;
   std::size_t items = 0;     ///< batch size
   std::size_t shed = 0;      ///< items shed kOverloaded at the mutate stage
   std::size_t committed = 0; ///< items that reached issue + commit
 };
 
-/// Observability hooks for one flow's pipeline runs: stage spans on the
+/// Observability hooks for one flow's batches: stage spans on the
 /// tracer and per-stage latency histograms + shed/item counters on the
-/// registry. Either endpoint may be null (off). Span names must be
-/// static literals (the tracer stores the pointer); the registry ids are
-/// meaningful only when `registry` is non-null — whoever sets the
-/// registry registers all five.
+/// registry, all emitted from the dispatch thread. Either endpoint may be
+/// null (off). Span names must be static literals (the tracer stores the
+/// pointer); the registry ids are meaningful only when `registry` is
+/// non-null — whoever sets the registry registers all five. The issue
+/// span marks the commit-time join, so spans nest per thread with
+/// several batches in flight.
 struct PipelineObs {
   obs::Tracer* tracer = nullptr;
   obs::Registry* registry = nullptr;
@@ -100,16 +128,10 @@ struct PipelineObs {
   obs::Registry::Id ctr_shed = 0;
 };
 
-/// Orchestrates one batch through verify -> mutate -> issue -> commit.
+/// Orchestrates batches through verify -> mutate -> issue -> commit. Not
+/// thread-safe: one instance belongs to one dispatch thread.
 class BatchPipeline {
  public:
-  /// Runs \p work(k) for every k in [0, count), returning when all calls
-  /// have completed. The work must be thread-safe and write only
-  /// disjoint per-k state (ContentProvider::ForEachIssue is the shard
-  /// fan-out instance).
-  using IssueExecutor = std::function<void(
-      std::size_t count, const std::function<void(std::size_t)>& work)>;
-
   /// One flow's callbacks. Every callback is optional: a null `verify`
   /// admits all items, a null `mutate` maps them all to kOk, and a flow
   /// with no signing work (coin deposits) simply leaves `issue` empty.
@@ -117,6 +139,9 @@ class BatchPipeline {
   /// Index vocabulary: `item` is an index into the caller's batch,
   /// `k` is an index into the live set (items that passed verify and
   /// whose mutate status proceeds), assigned in ascending item order.
+  ///
+  /// The callbacks must stay valid until the batch commits; state they
+  /// capture by reference must outlive that point.
   struct Plan {
     std::size_t item_count = 0;
 
@@ -142,12 +167,13 @@ class BatchPipeline {
     std::function<void(std::size_t live_count)> begin_issue;
 
     /// Fork-drawing hook: dispatch thread, ascending k, before the
-    /// fan-out. This ordering is what a fixed seed's bit-identical
-    /// serial/parallel guarantee rests on.
+    /// items are dealt. This ordering is what a fixed seed's
+    /// bit-identical serial/parallel guarantee rests on.
     std::function<void(std::size_t k, std::size_t item)> draw_fork;
 
-    /// Stage 3 work for live item k. Runs under the executor — possibly
-    /// concurrently — and must write only disjoint per-k state.
+    /// Stage 3 work for live item k. Runs on a pool worker or the
+    /// joining dispatch thread — possibly concurrently — and must write
+    /// only disjoint per-k state.
     std::function<void(std::size_t k, std::size_t item,
                        core::Status mutate_status)>
         issue;
@@ -162,15 +188,70 @@ class BatchPipeline {
     std::function<void(std::size_t item, core::Status mutate_status)> reject;
   };
 
-  /// Runs \p plan to completion. \p executor fans out the issue stage;
-  /// when null the issue calls run serially on the dispatch thread.
-  /// \p now_us supplies the stage-timing clock (null = steady_clock).
-  /// \p pobs, when non-null, receives stage spans and per-stage latency
-  /// histograms — all emitted from the dispatch thread.
-  static BatchPipelineTimings Run(const Plan& plan,
-                                  const IssueExecutor& executor,
-                                  const TimeSourceUs& now_us = nullptr,
-                                  const PipelineObs* pobs = nullptr);
+  struct Config {
+    /// Issue target. Null runs every issue item on the dispatch thread
+    /// at commit.
+    SignerPool* pool = nullptr;
+
+    /// Submit first commits the oldest batch while this many are in
+    /// flight. 1 commits each batch no later than the next Submit.
+    std::size_t max_batches_in_flight = 1;
+
+    /// Stage-timing clock (null = SteadyNowUs).
+    TimeSourceUs now_us;
+  };
+
+  /// Runs after the batch's commit tail (dispatch thread) with the
+  /// batch's own timings.
+  using OnCommit = std::function<void(const BatchPipelineTimings&)>;
+
+  explicit BatchPipeline(Config cfg);
+
+  /// Commits every batch still in flight.
+  ~BatchPipeline();
+
+  BatchPipeline(const BatchPipeline&) = delete;
+  BatchPipeline& operator=(const BatchPipeline&) = delete;
+
+  /// Runs verify/mutate/draw_fork for \p plan on the calling thread,
+  /// deals its issue items to the pool, and returns with the batch in
+  /// flight — first committing the oldest batches while the window is
+  /// full. \p pobs, when non-null, receives the batch's spans and
+  /// histograms and must outlive its commit.
+  void Submit(Plan plan, const PipelineObs* pobs = nullptr,
+              OnCommit on_commit = nullptr);
+
+  /// Commits everything in flight, in submit order, and closes the
+  /// timing window: returns the window's timings (see
+  /// BatchPipelineTimings) over every batch committed since the last
+  /// Flush. An empty window returns zeros.
+  BatchPipelineTimings Flush();
+
+  /// Batches submitted but not yet committed.
+  std::size_t InFlight() const { return inflight_.size(); }
+
+  /// Wires `<prefix>batches_in_flight` (gauge, +1 at Submit, -1 at
+  /// commit). Call before the first Submit; nullptr detaches.
+  void set_observability(obs::Registry* registry, const std::string& prefix);
+
+ private:
+  struct InFlightBatch;
+
+  std::uint64_t Now() const;
+  void CommitHead();
+
+  Config cfg_;
+  // unique_ptr elements: issue items on the pool hold raw pointers into
+  // the batch, so its address must survive deque growth.
+  std::deque<std::unique_ptr<InFlightBatch>> inflight_;
+
+  BatchPipelineTimings window_;  // sums over the open window
+  bool window_open_ = false;
+  std::uint64_t window_start_us_ = 0;  // first verify start
+  std::uint64_t window_end_us_ = 0;    // last issue end
+
+  obs::Registry* registry_ = nullptr;
+  obs::Registry::Id gauge_inflight_ = 0;
 };
 
 }  // namespace server

@@ -75,12 +75,12 @@ SignerPool::Ticket SignerPool::SubmitBatch(std::size_t count, Job work) {
   return ticket;
 }
 
-void SignerPool::RunAll(std::size_t count, Job work) {
-  Ticket ticket = SubmitBatch(count, std::move(work));
-  // Join instead of sleeping: the caller signs its own batch's
-  // not-yet-started items, so it never idles while its work queues
-  // behind other batches, and RunAll completes even if every worker is
-  // busy. What the workers already started, Wait() covers.
+void SignerPool::Join(Ticket& ticket) {
+  if (ticket.batch_ == nullptr) return;
+  // The joiner signs its own batch's not-yet-started items instead of
+  // sleeping, so it never idles while its work queues behind other
+  // batches, and the join completes even if every worker is busy. What
+  // the workers already started, Wait() covers.
   SignerContext joiner;
   joiner.index = workers_.size();
   std::size_t cursor = 0;
@@ -123,7 +123,7 @@ void SignerPool::OnDequeued() {
 }
 
 // noexcept: a job that throws ends the process on whichever thread runs
-// it. On the joiner, unwinding out of RunAll would otherwise destroy
+// it. On the joiner, unwinding out of Join would otherwise destroy
 // state the batch's items on the workers still reference.
 void SignerPool::RunItem(Item& item, SignerContext& ctx) noexcept {
   item.batch->work(ctx, item.k);

@@ -23,14 +23,14 @@
 ///    from the BACK of a victim's deque, scanning victims starting at
 ///    its right-hand neighbour. Back-stealing takes the work the owner
 ///    would reach last, which minimizes owner/thief contention.
-///  * `RunAll` is a joining submit: after dealing, the calling thread
-///    takes not-yet-started items of ITS OWN batch from the back of the
-///    deques and runs them on a per-call joiner context (index
-///    worker_count()), then waits only for items already running on
-///    workers. A joiner pop counts as a dequeue (pending count,
-///    queue_depth) but not as a steal; its signing time accrues onto
-///    JoinerSimClockUs(). The caller is therefore one more signer, so a
-///    pool of cores - 1 workers keeps every core signing.
+///  * `Join(ticket)` is the joining wait: the calling thread takes
+///    not-yet-started items of THAT batch from the back of the deques and
+///    runs them on a per-call joiner context (index worker_count()), then
+///    waits only for items already running on workers. A joiner pop
+///    counts as a dequeue (pending count, queue_depth) but not as a
+///    steal; its signing time accrues onto JoinerSimClockUs(). The
+///    joiner is therefore one more signer, so a pool of cores - 1
+///    workers keeps every core signing. `Ticket::Wait()` does not join.
 ///  * Work items must be thread-safe, must not throw (a throwing item
 ///    terminates the process, whichever thread runs it), and write only
 ///    disjoint per-k state — the same contract as
@@ -67,7 +67,7 @@ namespace server {
 /// everything outstanding, or destruction).
 struct SignerContext {
   /// Worker index in [0, worker_count); worker_count for the joiner
-  /// context RunAll's calling thread signs on.
+  /// context a Join caller signs on.
   std::size_t index = 0;
 
   /// Accrues measured signing time onto this worker's simulated clock,
@@ -122,12 +122,11 @@ class SignerPool {
   /// caller. The batch's Job is shared by all its items.
   Ticket SubmitBatch(std::size_t count, Job work);
 
-  /// SubmitBatch, then the calling thread runs not-yet-started items of
-  /// this batch itself (joiner context, index worker_count()) and waits
-  /// for the rest: the synchronous issue executor behind every
-  /// ContentProvider batch call. Completes even when every worker is busy
-  /// elsewhere.
-  void RunAll(std::size_t count, Job work);
+  /// Runs not-yet-started items of \p ticket's batch on the calling
+  /// thread (joiner context, index worker_count()) and waits for the
+  /// rest: how BatchPipeline commits a batch. Completes even when every
+  /// worker is busy elsewhere. An empty ticket returns at once.
+  void Join(Ticket& ticket);
 
   /// Total successful steals across all workers (relaxed; exact at
   /// quiesce).
@@ -139,8 +138,8 @@ class SignerPool {
     return workers_[i]->ctx.sim_clock_us.load(std::memory_order_relaxed);
   }
 
-  /// Signing time accrued by RunAll callers on their joiner contexts
-  /// (relaxed; exact once those RunAll calls have returned). Worker
+  /// Signing time accrued by Join callers on their joiner contexts
+  /// (relaxed; exact once those Join calls have returned). Worker
   /// clocks plus this total is the pool's whole signing time.
   std::uint64_t JoinerSimClockUs() const {
     return joiner_sim_clock_us_.load(std::memory_order_relaxed);

@@ -17,6 +17,7 @@
 
 #include <chrono>
 #include <future>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -27,7 +28,9 @@
 #include "crypto/blind_rsa.h"
 #include "crypto/drbg.h"
 #include "net/rpc.h"
+#include "obs/trace.h"
 #include "server/batch_pipeline.h"
+#include "server/signer_pool.h"
 #include "sim/provider_stack.h"
 
 namespace p2drm {
@@ -75,10 +78,13 @@ TEST(BatchPipelineStages, ShedsAtMutateOnlyAndSkipsShedItems) {
     final_status[i] = s;
   };
 
-  auto t = server::BatchPipeline::Run(plan, nullptr);
+  server::BatchPipeline pipeline(server::BatchPipeline::Config{});
+  pipeline.Submit(plan);
+  auto t = pipeline.Flush();
 
-  // Fork draw, issue (serial executor) and commit all saw exactly the
-  // live items, in index order; the shed item touched none of them.
+  // Fork draw, issue (no pool: the dispatch thread) and commit all saw
+  // exactly the live items, in index order; the shed item touched none
+  // of them.
   std::vector<std::size_t> live{0, 2, 3};
   EXPECT_EQ(forked, live);
   EXPECT_EQ(issued, live);
@@ -103,10 +109,62 @@ TEST(BatchPipelineStages, OverloadedNeverProceedsEvenIfFlowSaysSo) {
     rejected = true;
     EXPECT_EQ(s, Status::kOverloaded);
   };
-  auto t = server::BatchPipeline::Run(plan, nullptr);
+  server::BatchPipeline pipeline(server::BatchPipeline::Config{});
+  pipeline.Submit(plan);
+  auto t = pipeline.Flush();
   EXPECT_FALSE(issued);
   EXPECT_TRUE(rejected);
   EXPECT_EQ(t.shed, 1u);
+}
+
+// Replays \p tracer's begin/end events, failing on an end that does not
+// close the innermost open span; returns the span names in begin order.
+std::vector<std::string> NestedSpans(const obs::Tracer& tracer) {
+  std::string json;
+  bool first = true;
+  tracer.AppendChromeTraceEvents(&json, 0, "test", &first);
+  const std::regex event("\"name\":\"([^\"]+)\",\"ph\":\"([BE])\"");
+  std::vector<std::string> open, begun;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), event);
+       it != std::sregex_iterator(); ++it) {
+    const std::string name = (*it)[1];
+    if ((*it)[2] == "B") {
+      open.push_back(name);
+      begun.push_back(name);
+    } else if (open.empty() || open.back() != name) {
+      ADD_FAILURE() << "span " << name << " ends out of nesting order";
+    } else {
+      open.pop_back();
+    }
+  }
+  EXPECT_TRUE(open.empty());
+  return begun;
+}
+
+TEST(BatchPipelineStages, StageSpansNestWithSeveralBatchesInFlight) {
+  obs::Tracer tracer;
+  server::PipelineObs pobs;
+  pobs.tracer = &tracer;
+  server::SignerPool pool(2);
+  server::BatchPipeline::Config cfg;
+  cfg.pool = &pool;
+  cfg.max_batches_in_flight = 2;
+  server::BatchPipeline pipeline(cfg);
+  server::BatchPipeline::Plan plan;
+  plan.item_count = 4;
+  plan.issue = [](std::size_t, std::size_t, Status) {};
+
+  // Three streamed batches through a 2-batch window (the third Submit
+  // commits the first), then a synchronous one: Submit + Flush.
+  for (int b = 0; b < 3; ++b) pipeline.Submit(plan, &pobs);
+  pipeline.Flush();
+  pipeline.Submit(plan, &pobs);
+  pipeline.Flush();
+
+  const std::string v = "pipeline.verify", m = "pipeline.mutate",
+                    i = "pipeline.issue";
+  EXPECT_EQ(NestedSpans(tracer),
+            (std::vector<std::string>{v, m, v, m, i, v, m, i, i, v, m, i}));
 }
 
 // -- exchange batch ----------------------------------------------------------

@@ -1,13 +1,13 @@
 // Tests for server::SignerPool: the dedicated work-stealing pool the
-// streaming pipeline fans the issue stage out to. Covers completion
-// across pool sizes, the deterministic steal path (a blocked owner's
-// work finishes on a thief), drain-then-exit shutdown with tickets
-// outstanding, the joining RunAll caller (it signs its own batch, never
-// another caller's, and its clock conserves total signing time), and
-// the queue-depth/steal metrics. The shutdown and
-// steal tests also run under TSan in CI — the pool's sleep/wake and
-// per-deque locking contracts are only trusted because the race
-// detector agrees.
+// batch pipeline deals the issue stage to. Covers completion across pool
+// sizes, the deterministic steal path (a blocked owner's work finishes on
+// a thief), drain-then-exit shutdown with tickets outstanding, the
+// joining Join caller (it signs its own batch, never another caller's,
+// and its clock conserves total signing time), a streamed pipeline batch
+// committed on the joiner, and the queue-depth/steal metrics. The
+// shutdown and steal tests also run under TSan in CI — the pool's
+// sleep/wake and per-deque locking contracts are only trusted because
+// the race detector agrees.
 
 #include "server/signer_pool.h"
 
@@ -21,19 +21,27 @@
 #include <gtest/gtest.h>
 
 #include "obs/registry.h"
+#include "server/batch_pipeline.h"
 
 namespace p2drm {
 namespace {
 
-TEST(SignerPool, RunAllExecutesEveryItemAcrossPoolSizes) {
+// SubmitBatch + Join: the joining wait every pipeline commit uses.
+void RunJoined(server::SignerPool& pool, std::size_t count,
+               server::SignerPool::Job job) {
+  server::SignerPool::Ticket ticket = pool.SubmitBatch(count, std::move(job));
+  pool.Join(ticket);
+}
+
+TEST(SignerPool, JoinExecutesEveryItemAcrossPoolSizes) {
   for (std::size_t workers : {1u, 2u, 3u, 8u}) {
     server::SignerPool pool(workers);
     ASSERT_EQ(pool.worker_count(), workers);
     const std::size_t n = 101;  // not a multiple of any pool size above
-    // Disjoint per-k writes — the Plan::issue contract; RunAll's join
-    // establishes the happens-before the plain reads below rely on.
+    // Disjoint per-k writes — the Plan::issue contract; Join establishes
+    // the happens-before the plain reads below rely on.
     std::vector<int> hits(n, 0);
-    pool.RunAll(n, [&hits](server::SignerContext&, std::size_t k) {
+    RunJoined(pool, n, [&hits](server::SignerContext&, std::size_t k) {
       hits[k] += 1;
     });
     for (std::size_t k = 0; k < n; ++k) {
@@ -134,10 +142,10 @@ TEST(SignerPool, ShutdownRacesStealsCleanly) {
 }
 
 TEST(SignerPool, SimClockIsConservedAcrossWorkersAndJoiner) {
-  // RunAll's caller signs too, so the conserved quantity is worker
+  // The Join caller signs too, so the conserved quantity is worker
   // clocks + joiner clock, however the items were split between them.
   server::SignerPool pool(2);
-  pool.RunAll(10, [](server::SignerContext& ctx, std::size_t) {
+  RunJoined(pool, 10, [](server::SignerContext& ctx, std::size_t) {
     ctx.AccrueSimClockUs(5);
   });
   std::uint64_t total = pool.WorkerSimClockUs(0) + pool.WorkerSimClockUs(1) +
@@ -147,14 +155,13 @@ TEST(SignerPool, SimClockIsConservedAcrossWorkersAndJoiner) {
 }
 
 // Parks every worker of \p pool on a gate (one item each: a parked
-// worker cannot take a second), calls pool.RunAll(count, job) on a
-// helper thread, and runs \p while_parked if RunAll returned within the
-// deadline. Returns whether it did. The gate opens before the helper is
-// joined either way, so a RunAll that needs a worker fails the test
-// instead of hanging it.
-bool RunAllWhileWorkersParked(server::SignerPool& pool, std::size_t count,
-                              server::SignerPool::Job job,
-                              const std::function<void()>& while_parked) {
+// worker cannot take a second), runs \p call on a helper thread, and runs
+// \p while_parked if \p call returned within the deadline. Returns
+// whether it did. The gate opens before the helper is joined either way,
+// so a call that needs a worker fails the test instead of hanging it.
+bool CallWhileWorkersParked(server::SignerPool& pool,
+                            const std::function<void()>& call,
+                            const std::function<void()>& while_parked) {
   std::promise<void> release;
   std::shared_future<void> gate(release.get_future());
   const std::size_t w = pool.worker_count();
@@ -166,9 +173,7 @@ bool RunAllWhileWorkersParked(server::SignerPool& pool, std::size_t count,
       });
   while (parked.load() < w) std::this_thread::yield();
 
-  std::future<void> done = std::async(std::launch::async, [&] {
-    pool.RunAll(count, std::move(job));
-  });
+  std::future<void> done = std::async(std::launch::async, call);
   const bool returned =
       done.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
   if (returned) while_parked();
@@ -178,19 +183,22 @@ bool RunAllWhileWorkersParked(server::SignerPool& pool, std::size_t count,
   return returned;
 }
 
-TEST(SignerPool, RunAllCompletesOnTheJoinerWhileWorkersAreParked) {
+TEST(SignerPool, JoinCompletesOnTheJoinerWhileWorkersAreParked) {
   server::SignerPool pool(2);
-  // No worker is free, so RunAll returning at all proves the caller ran
+  // No worker is free, so Join returning at all proves the caller ran
   // every item — and each on the joiner context, index worker_count().
   std::vector<std::size_t> ran_on(16, 99);
-  EXPECT_TRUE(RunAllWhileWorkersParked(
-      pool, ran_on.size(),
-      [&ran_on](server::SignerContext& ctx, std::size_t k) {
-        ran_on[k] = ctx.index;
-        ctx.AccrueSimClockUs(3);
+  EXPECT_TRUE(CallWhileWorkersParked(
+      pool,
+      [&] {
+        RunJoined(pool, ran_on.size(),
+                  [&ran_on](server::SignerContext& ctx, std::size_t k) {
+                    ran_on[k] = ctx.index;
+                    ctx.AccrueSimClockUs(3);
+                  });
       },
       [] {}))
-      << "RunAll needed a worker: the caller did not join";
+      << "Join needed a worker: the caller did not join";
   for (std::size_t k = 0; k < ran_on.size(); ++k) {
     EXPECT_EQ(ran_on[k], pool.worker_count()) << "k=" << k;
   }
@@ -198,7 +206,7 @@ TEST(SignerPool, RunAllCompletesOnTheJoinerWhileWorkersAreParked) {
   EXPECT_EQ(pool.Steals(), 0u) << "joiner pops are not steals";
 }
 
-TEST(SignerPool, ConcurrentRunAllCallersRunOnlyTheirOwnItems) {
+TEST(SignerPool, ConcurrentJoinCallersRunOnlyTheirOwnItems) {
   server::SignerPool pool(2);
   constexpr std::size_t kCallers = 4;
   constexpr std::size_t kItems = 64;
@@ -213,8 +221,8 @@ TEST(SignerPool, ConcurrentRunAllCallersRunOnlyTheirOwnItems) {
     callers.emplace_back([&, c] {
       caller_ids[c] = std::this_thread::get_id();
       for (int round = 0; round < 10; ++round) {
-        pool.RunAll(kItems, [&, c](server::SignerContext& ctx,
-                                   std::size_t k) {
+        RunJoined(pool, kItems, [&, c](server::SignerContext& ctx,
+                                       std::size_t k) {
           hits[c][k] += 1;
           if (ctx.index == pool.worker_count()) {
             joined_on[c][k] = std::this_thread::get_id();
@@ -236,7 +244,7 @@ TEST(SignerPool, ConcurrentRunAllCallersRunOnlyTheirOwnItems) {
   }
 }
 
-TEST(SignerPool, QueueDepthIsZeroAfterCallerHelpedRunAll) {
+TEST(SignerPool, QueueDepthIsZeroAfterJoinerHelped) {
   obs::Registry registry;
   server::SignerPool pool(2);
   pool.set_observability(&registry, "pool.");
@@ -250,11 +258,43 @@ TEST(SignerPool, QueueDepthIsZeroAfterCallerHelpedRunAll) {
   // Every item below is popped by the joiner; each pop must leave the
   // gauge exactly where a worker pop would, checked before any worker
   // is free to pop.
-  EXPECT_TRUE(RunAllWhileWorkersParked(
-      pool, 8, [](server::SignerContext&, std::size_t) {},
+  EXPECT_TRUE(CallWhileWorkersParked(
+      pool,
+      [&] { RunJoined(pool, 8, [](server::SignerContext&, std::size_t) {}); },
       [&queue_depth] { EXPECT_EQ(queue_depth(), 0); }))
-      << "RunAll needed a worker: the caller did not join";
+      << "Join needed a worker: the caller did not join";
   EXPECT_EQ(queue_depth(), 0);
+}
+
+TEST(SignerPool, StreamedBatchCommitsOnTheJoinerWhileWorkersAreParked) {
+  // A pipeline batch left in flight (window of 4) is dealt to parked
+  // workers; its commit at Flush must sign every item on the committing
+  // thread instead of sleeping on a Ticket::Wait that never returns.
+  server::SignerPool pool(2);
+  server::BatchPipeline::Config cfg;
+  cfg.pool = &pool;
+  cfg.max_batches_in_flight = 4;
+  server::BatchPipeline pipeline(cfg);
+  std::vector<std::thread::id> ran_on(8);
+  std::thread::id committer;
+  server::BatchPipeline::Plan plan;
+  plan.item_count = ran_on.size();
+  plan.issue = [&ran_on](std::size_t k, std::size_t, core::Status) {
+    ran_on[k] = std::this_thread::get_id();
+  };
+  EXPECT_TRUE(CallWhileWorkersParked(
+      pool,
+      [&] {
+        committer = std::this_thread::get_id();
+        pipeline.Submit(plan);
+        EXPECT_EQ(pipeline.InFlight(), 1u);
+        pipeline.Flush();
+      },
+      [] {}))
+      << "the commit needed a worker: it did not join";
+  for (std::size_t k = 0; k < ran_on.size(); ++k) {
+    EXPECT_EQ(ran_on[k], committer) << "k=" << k;
+  }
 }
 
 TEST(SignerPool, ObservabilityGaugeZeroAtQuiesceAndStealsExported) {

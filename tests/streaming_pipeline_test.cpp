@@ -1,11 +1,11 @@
-// Streaming batch pipeline (ISSUE 9): the Stream* entry points overlap
-// batch B+1's verify with batch B's signing, yet must stay bit-identical
-// to the synchronous batch calls under a fixed seed — commits in submit
-// order, each commit tail in index order, DRBG forks drawn dispatch-side.
-// Also covered: a batch shed at the mutate stage leaves no trace even
-// while other streamed batches are in flight, the streamed deposit window
-// defers account credits without reordering double-spend resolution, and
-// the window makespan is exact under an injected tick source.
+// Streaming batch pipeline: the Stream* entry points overlap batch B+1's
+// verify with batch B's signing, yet must stay bit-identical to the
+// synchronous batch calls under a fixed seed — commits in submit order,
+// each commit tail in index order, DRBG forks drawn dispatch-side. Also
+// covered: synchronous and streamed calls mixed on one provider, a batch
+// shed at the mutate stage leaving no trace while other streamed batches
+// are in flight, teardown with a batch in flight, and the window makespan
+// under an injected tick source.
 
 #include <cstddef>
 #include <functional>
@@ -17,7 +17,6 @@
 #include <gtest/gtest.h>
 
 #include "core/content_provider.h"
-#include "core/payment.h"
 #include "server/server_runtime.h"
 #include "server/signer_pool.h"
 #include "sim/provider_stack.h"
@@ -27,6 +26,63 @@ namespace core {
 namespace {
 
 using Stack = sim::ProviderStack;
+
+// The batches both tests below stream. Fixture creation is the same
+// call sequence on every stack of one seed, so every key, coin and
+// license going in is bit-identical across them.
+struct Fixtures {
+  std::vector<ContentProvider::RedeemItem> redeem1, redeem2;
+  std::vector<ContentProvider::PurchaseItem> purchase;
+  std::vector<ContentProvider::ExchangeItem> exchange;
+};
+
+Fixtures MakeFixtures(Stack& s) {
+  Fixtures f;
+  Pseudonym* giver = s.NewPseudonym();
+  Pseudonym* taker = s.NewPseudonym();
+  for (int i = 0; i < 3; ++i) {
+    f.redeem1.push_back({s.NewBearer(giver), taker->cert});
+  }
+  // In-batch duplicate: the detected-double-redemption leg must stream
+  // identically too.
+  f.redeem1.push_back(f.redeem1[0]);
+  Pseudonym* buyer = s.NewPseudonym();
+  for (int i = 0; i < 2; ++i) {
+    f.purchase.push_back({buyer->cert, s.content, s.Pay(30)});
+  }
+  Pseudonym* owner = s.NewPseudonym();
+  for (int i = 0; i < 2; ++i) {
+    rel::License lic = s.NewBoundLicense(owner);
+    f.exchange.push_back({lic, s.PossessionSig(owner, lic)});
+  }
+  for (int i = 0; i < 2; ++i) {
+    f.redeem2.push_back({s.NewBearer(giver), taker->cert});
+  }
+  return f;
+}
+
+void ExpectSameIssued(const std::vector<ContentProvider::PurchaseResult>& got,
+                      const std::vector<ContentProvider::PurchaseResult>& want,
+                      const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].status, want[i].status) << what << " " << i;
+    EXPECT_EQ(got[i].license.Serialize(), want[i].license.Serialize())
+        << what << " " << i;
+  }
+}
+
+void ExpectSameIssued(const std::vector<ContentProvider::ExchangeResult>& got,
+                      const std::vector<ContentProvider::ExchangeResult>& want,
+                      const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].status, want[i].status) << what << " " << i;
+    EXPECT_EQ(got[i].anonymous_license.Serialize(),
+              want[i].anonymous_license.Serialize())
+        << what << " " << i;
+  }
+}
 
 // -- streaming vs serial: bit-identical mixed flows --------------------------
 
@@ -39,39 +95,8 @@ TEST(StreamingPipeline, MixedFlowsBitIdenticalToSerial) {
   Stack streaming("streaming-identical", 2, 512, 4096,
                   /*signer_pool_size=*/3, /*max_batches_in_flight=*/2);
   ASSERT_NE(streaming.cp.Pool(), nullptr);
-
-  // Fixture creation is the same sequence on both stacks, so every key,
-  // coin and license going in is already bit-identical.
-  auto fixtures = [](Stack& s) {
-    struct F {
-      std::vector<ContentProvider::RedeemItem> redeem1, redeem2;
-      std::vector<ContentProvider::PurchaseItem> purchase;
-      std::vector<ContentProvider::ExchangeItem> exchange;
-    } f;
-    Pseudonym* giver = s.NewPseudonym();
-    Pseudonym* taker = s.NewPseudonym();
-    for (int i = 0; i < 3; ++i) {
-      f.redeem1.push_back({s.NewBearer(giver), taker->cert});
-    }
-    // In-batch duplicate: the detected-double-redemption leg must stream
-    // identically too.
-    f.redeem1.push_back(f.redeem1[0]);
-    Pseudonym* buyer = s.NewPseudonym();
-    for (int i = 0; i < 2; ++i) {
-      f.purchase.push_back({buyer->cert, s.content, s.Pay(30)});
-    }
-    Pseudonym* owner = s.NewPseudonym();
-    for (int i = 0; i < 2; ++i) {
-      rel::License lic = s.NewBoundLicense(owner);
-      f.exchange.push_back({lic, s.PossessionSig(owner, lic)});
-    }
-    for (int i = 0; i < 2; ++i) {
-      f.redeem2.push_back({s.NewBearer(giver), taker->cert});
-    }
-    return f;
-  };
-  auto fs = fixtures(serial);
-  auto ff = fixtures(streaming);
+  Fixtures fs = MakeFixtures(serial);
+  Fixtures ff = MakeFixtures(streaming);
 
   auto out_r1 = serial.cp.RedeemAnonymousBatch(fs.redeem1);
   auto out_p = serial.cp.PurchaseBatch(fs.purchase);
@@ -113,33 +138,65 @@ TEST(StreamingPipeline, MixedFlowsBitIdenticalToSerial) {
   EXPECT_EQ(commit_order,
             (std::vector<std::string>{"r1", "p", "e", "r2"}));
 
-  ASSERT_EQ(got_r1->size(), out_r1.size());
-  for (std::size_t i = 0; i < out_r1.size(); ++i) {
-    EXPECT_EQ((*got_r1)[i].status, out_r1[i].status) << "redeem1 " << i;
-    EXPECT_EQ((*got_r1)[i].license.Serialize(), out_r1[i].license.Serialize())
-        << "redeem1 " << i;
-  }
+  ExpectSameIssued(*got_r1, out_r1, "redeem1");
   EXPECT_EQ((*got_r1)[3].status, Status::kAlreadySpent);
-  ASSERT_EQ(got_p->size(), out_p.size());
-  for (std::size_t i = 0; i < out_p.size(); ++i) {
-    EXPECT_EQ((*got_p)[i].status, out_p[i].status) << "purchase " << i;
-    EXPECT_EQ((*got_p)[i].license.Serialize(), out_p[i].license.Serialize())
-        << "purchase " << i;
-  }
-  ASSERT_EQ(got_e->size(), out_e.size());
-  for (std::size_t i = 0; i < out_e.size(); ++i) {
-    EXPECT_EQ((*got_e)[i].status, out_e[i].status) << "exchange " << i;
-    EXPECT_EQ((*got_e)[i].anonymous_license.Serialize(),
-              out_e[i].anonymous_license.Serialize())
-        << "exchange " << i;
-  }
-  ASSERT_EQ(got_r2->size(), out_r2.size());
-  for (std::size_t i = 0; i < out_r2.size(); ++i) {
-    EXPECT_EQ((*got_r2)[i].status, out_r2[i].status) << "redeem2 " << i;
-    EXPECT_EQ((*got_r2)[i].license.Serialize(), out_r2[i].license.Serialize())
-        << "redeem2 " << i;
-  }
+  ExpectSameIssued(*got_p, out_p, "purchase");
+  ExpectSameIssued(*got_e, out_e, "exchange");
+  ExpectSameIssued(*got_r2, out_r2, "redeem2");
   EXPECT_EQ(serial.cp.LicensesIssued(), streaming.cp.LicensesIssued());
+}
+
+// -- synchronous and streamed calls on one provider --------------------------
+
+TEST(StreamingPipeline, SyncCallCommitsEarlierStreamedBatchesFirst) {
+  // One pipeline serves both kinds of call: a synchronous batch commits
+  // the streamed batches still in flight, in submit order, before its
+  // own commit — and the bytes match an all-synchronous run.
+  Stack serial("streaming-mixed-sync", 2);
+  Stack mixed("streaming-mixed-sync", 2, 512, 4096,
+              /*signer_pool_size=*/3, /*max_batches_in_flight=*/2);
+  Fixtures fs = MakeFixtures(serial);
+  Fixtures fm = MakeFixtures(mixed);
+
+  auto out_r1 = serial.cp.RedeemAnonymousBatch(fs.redeem1);
+  auto out_r2 = serial.cp.RedeemAnonymousBatch(fs.redeem2);
+  auto out_p = serial.cp.PurchaseBatch(fs.purchase);
+  auto out_e = serial.cp.ExchangeBatch(fs.exchange);
+
+  std::optional<std::vector<ContentProvider::PurchaseResult>> got_r1, got_r2;
+  std::optional<std::vector<ContentProvider::ExchangeResult>> got_e;
+  std::vector<std::string> commit_order;
+  mixed.cp.StreamRedeemBatch(std::move(fm.redeem1), [&](auto out) {
+    commit_order.push_back("r1");
+    got_r1 = std::move(out);
+  });
+  mixed.cp.StreamRedeemBatch(std::move(fm.redeem2), [&](auto out) {
+    commit_order.push_back("r2");
+    got_r2 = std::move(out);
+  });
+  EXPECT_EQ(mixed.cp.StreamingInFlight(), 2u);
+  auto got_p = mixed.cp.PurchaseBatch(fm.purchase);
+  commit_order.push_back("p");
+  // Both streamed callbacks fired before PurchaseBatch returned.
+  EXPECT_TRUE(got_r1.has_value());
+  EXPECT_TRUE(got_r2.has_value());
+  EXPECT_EQ(mixed.cp.StreamingInFlight(), 0u);
+  mixed.cp.StreamExchangeBatch(std::move(fm.exchange), [&](auto out) {
+    commit_order.push_back("e");
+    got_e = std::move(out);
+  });
+  mixed.cp.FlushStreaming();
+  EXPECT_EQ(commit_order,
+            (std::vector<std::string>{"r1", "r2", "p", "e"}));
+
+  ASSERT_TRUE(got_r1.has_value());
+  ASSERT_TRUE(got_r2.has_value());
+  ASSERT_TRUE(got_e.has_value());
+  ExpectSameIssued(*got_r1, out_r1, "redeem1");
+  ExpectSameIssued(*got_r2, out_r2, "redeem2");
+  ExpectSameIssued(got_p, out_p, "purchase");
+  ExpectSameIssued(*got_e, out_e, "exchange");
+  EXPECT_EQ(serial.cp.LicensesIssued(), mixed.cp.LicensesIssued());
 }
 
 // -- shed at mutate leaves no trace while other batches are in flight --------
@@ -193,59 +250,36 @@ TEST(StreamingPipeline, ShedAtMutateLeavesNoTraceUnderOverlap) {
   for (const auto& r : retried) EXPECT_EQ(r.status, Status::kOk);
 }
 
-// -- streamed deposits: deferred credit, submission-ordered resolution -------
+// -- teardown with a batch in flight -----------------------------------------
 
-TEST(StreamingDeposits, BitIdenticalToSerialBatchesWithDeferredCredit) {
-  Stack serial("streaming-deposit", 0);
-  Stack streaming("streaming-deposit", 0);
-
-  auto fixtures = [](Stack& s) {
-    struct F {
-      std::vector<PaymentProvider::DepositItem> batch1, batch2;
-    } f;
-    for (const Coin& c : s.Pay(30)) f.batch1.push_back({c, Stack::kAccount});
-    for (const Coin& c : s.Pay(30)) f.batch2.push_back({c, Stack::kAccount});
-    // Cross-batch double spend: batch2 re-deposits batch1's first coin.
-    // Resolution must stay submission-ordered even though the account
-    // credits are deferred to the flush.
-    f.batch2.push_back(f.batch1[0]);
-    return f;
-  };
-  auto fs = fixtures(serial);
-  auto ff = fixtures(streaming);
-
-  auto out1 = serial.bank.DepositBatch(fs.batch1);
-  auto out2 = serial.bank.DepositBatch(fs.batch2);
-  std::uint64_t serial_balance = serial.bank.Balance(Stack::kAccount);
-
-  std::uint64_t balance_before = streaming.bank.Balance(Stack::kAccount);
-  std::optional<std::vector<Status>> got1, got2;
-  streaming.bank.StreamDepositBatch(ff.batch1,
-                                    [&](auto out) { got1 = std::move(out); });
-  streaming.bank.StreamDepositBatch(ff.batch2,
-                                    [&](auto out) { got2 = std::move(out); });
-  EXPECT_EQ(streaming.bank.StreamingDepositsInFlight(), 2u);
-  // Both batches' serials are burned (mutate ran inline) but no account
-  // has been credited yet: the commit tail is the deferred part.
-  EXPECT_EQ(streaming.bank.Balance(Stack::kAccount), balance_before);
-
-  streaming.bank.FlushDeposits();
-  EXPECT_EQ(streaming.bank.StreamingDepositsInFlight(), 0u);
-  ASSERT_TRUE(got1.has_value());
-  ASSERT_TRUE(got2.has_value());
-  EXPECT_EQ(*got1, out1);
-  EXPECT_EQ(*got2, out2);
-  EXPECT_NE(got2->back(), Status::kOk);  // the cross-batch double spend
-  EXPECT_EQ(streaming.bank.Balance(Stack::kAccount), serial_balance);
+TEST(StreamingPipeline, DestroyingTheProviderCommitsStreamedBatches) {
+  // The provider's destructor commits what is still in flight, before the
+  // state the commit tail writes is gone (under ASan a commit into
+  // destroyed members aborts the test).
+  std::optional<std::vector<ContentProvider::PurchaseResult>> got;
+  {
+    Stack stack("streaming-teardown", /*redeem_shards=*/0);
+    ASSERT_EQ(stack.cp.Pool(), nullptr);
+    Pseudonym* giver = stack.NewPseudonym();
+    Pseudonym* taker = stack.NewPseudonym();
+    std::vector<ContentProvider::RedeemItem> items;
+    items.push_back({stack.NewBearer(giver), taker->cert});
+    stack.cp.StreamRedeemBatch(std::move(items),
+                               [&](auto out) { got = std::move(out); });
+    EXPECT_EQ(stack.cp.StreamingInFlight(), 1u);
+  }
+  ASSERT_TRUE(got.has_value());
+  ASSERT_EQ(got->size(), 1u);
+  EXPECT_EQ((*got)[0].status, Status::kOk);
 }
 
 // -- injected tick pins the streaming window's makespan ----------------------
 
 TEST(StreamingPipeline, InjectedTickPinsStreamingMakespan) {
-  // No shards, no pool: the streamed batch runs its stages inline, so
-  // the deterministic tick source pins every number. Each stage spans
-  // one 7us tick (6 samples inside Submit) and the flush takes the 7th
-  // sample, so the window makespan is exactly 42us.
+  // No shards, no pool: the dispatch thread runs every stage, so the
+  // deterministic tick source pins every number. Each stage spans one
+  // 7us tick and the window makespan runs from the verify start to the
+  // issue end — 5 ticks, the synchronous batch's 35us.
   Stack stack("streaming-timings", /*redeem_shards=*/0, 512);
   std::uint64_t tick = 0;
   stack.cp.set_time_source([&tick]() {
@@ -270,9 +304,9 @@ TEST(StreamingPipeline, InjectedTickPinsStreamingMakespan) {
   EXPECT_EQ(timings.verify_us, 7.0);
   EXPECT_EQ(timings.spend_us, 7.0);
   EXPECT_EQ(timings.issue_us, 7.0);
-  EXPECT_EQ(timings.makespan_us, 42.0);
+  EXPECT_EQ(timings.makespan_us, 35.0);
   // FlushStreaming also refreshes LastBatchTimings.
-  EXPECT_EQ(stack.cp.LastBatchTimings().makespan_us, 42.0);
+  EXPECT_EQ(stack.cp.LastBatchTimings().makespan_us, 35.0);
 }
 
 }  // namespace
