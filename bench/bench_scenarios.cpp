@@ -407,15 +407,11 @@ int main(int argc, char** argv) {
 
   sim::BenchReport report("scenarios");
   report.ConfigNote("mode", smoke ? "smoke" : "full");
-  // Signer-pool model knobs (ISSUE 9): the steal policy mirrors the real
-  // server::SignerPool; the model has no dispatch thread, so the staged
-  // pipeline's max_batches_in_flight window has no virtual-time twin.
+  // Signer-pool model knob: the steal policy mirrors the real
+  // server::SignerPool.
   report.ConfigNote("signer_pool_steal_policy",
                     "owner pops front; thieves scan from the next worker "
                     "and pop back");
-  report.ConfigNote("max_batches_in_flight",
-                    "n/a in the virtual-time model (see "
-                    "BENCH_bench_server_scaling.json)");
 
   std::uint64_t total_issued = 0;
   std::uint64_t total_users = 0;

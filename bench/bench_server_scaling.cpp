@@ -38,20 +38,6 @@
 // fans out through the shared server::BatchPipeline, so 4 workers must
 // beat 1 by >= 1.5x.
 //
-// Part G — streaming cross-batch overlap. Streams several redemption
-// batches through the provider's pipeline with a 4-batch window over a
-// dedicated 4-worker signer pool, so batch B+1's verify runs on the
-// dispatch thread while batch B's signatures are still being issued on
-// the pool. The gate uses the same simulated-time methodology as Parts
-// A/D/E: each signing job's measured wall cost accrues on its signer's
-// sim clock (the workers', or the joiner's when the dispatch thread signs
-// at a commit). The serial stage sum is verify + spend + every signer's
-// clock; the schedule's makespan is max(dispatch busy = verify + spend +
-// joiner clock, slowest worker's clock) — which overlap must pull under
-// 0.85x the stage sum even on a single-core runner, where the wall clock
-// cannot show parallel speedup. The wall-clock window span
-// (PipelineTimings::makespan_us) is reported alongside, ungated.
-//
 // Output: console report + BENCH_bench_server_scaling.json.
 
 #include <algorithm>
@@ -409,68 +395,6 @@ PipelineResult RunExchangePipeline(std::size_t signers,
   return Fastest(runs);
 }
 
-/// Part G worker: streams \p num_batches redemption batches through the
-/// provider's pipeline with a dedicated signer pool.
-struct StreamingResult {
-  core::ContentProvider::PipelineTimings timings;  ///< window timings
-  std::uint64_t completed = 0;
-  std::uint64_t steals = 0;
-  double signing_us = 0;         ///< every signer's accrued sim clock
-  double dispatch_busy_us = 0;   ///< verify + spend + joiner signing
-  double pool_makespan_us = 0;   ///< slowest worker's accrued sim clock
-  double sim_makespan_us = 0;    ///< max(dispatch busy, pool makespan)
-};
-
-StreamingResult RunStreamingOverlap(std::size_t shards, std::size_t signers,
-                                    std::size_t num_batches,
-                                    std::size_t batch_items,
-                                    std::size_t key_bits) {
-  sim::ProviderStack stack("streaming-overlap", shards, key_bits,
-                           /*queue_capacity=*/4096, signers,
-                           /*max_batches_in_flight=*/4);
-  core::Pseudonym* giver = stack.NewPseudonym();
-  core::Pseudonym* taker = stack.NewPseudonym();
-  std::vector<std::vector<core::ContentProvider::RedeemItem>> batches(
-      num_batches);
-  for (auto& b : batches) {
-    b.reserve(batch_items);
-    for (std::size_t i = 0; i < batch_items; ++i) {
-      b.push_back({stack.NewBearer(giver), taker->cert});
-    }
-  }
-
-  StreamingResult out;
-  const std::vector<std::uint64_t> before = SignerClocksUs(*stack.cp.Pool());
-  for (auto& b : batches) {
-    stack.cp.StreamRedeemBatch(
-        std::move(b),
-        [&out](std::vector<core::ContentProvider::PurchaseResult> results) {
-          for (const auto& r : results) {
-            if (r.status != core::Status::kOk) {
-              std::fprintf(stderr, "streaming redemption failed\n");
-              std::exit(1);
-            }
-            ++out.completed;
-          }
-        });
-  }
-  out.timings = stack.cp.FlushStreaming();
-  const std::vector<std::uint64_t> after = SignerClocksUs(*stack.cp.Pool());
-  // The last clock is the joiner's: the dispatch thread's own signing.
-  for (std::size_t i = 0; i < after.size(); ++i) {
-    const double delta = static_cast<double>(after[i] - before[i]);
-    out.signing_us += delta;
-    if (i + 1 < after.size()) {
-      out.pool_makespan_us = std::max(out.pool_makespan_us, delta);
-    }
-  }
-  out.dispatch_busy_us = out.timings.verify_us + out.timings.spend_us +
-                         static_cast<double>(after.back() - before.back());
-  out.steals = stack.cp.Pool()->Steals();
-  out.sim_makespan_us = std::max(out.dispatch_busy_us, out.pool_makespan_us);
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -504,9 +428,6 @@ int main(int argc, char** argv) {
   report.ConfigNote("signer_sweep", "1,2,4,8 (redeem); 1,4 (exchange)");
   report.ConfigMetric("scaling_batches", static_cast<double>(kScalingBatches));
   report.ConfigNote("seed", "server-scaling");
-  // Part G streaming-pipeline knobs (ISSUE 9).
-  report.ConfigMetric("signer_pool_size", 4);
-  report.ConfigMetric("max_batches_in_flight", 4);
   report.ConfigNote("signer_pool_steal_policy",
                     "owner pops front; thieves scan from the next worker "
                     "and pop back");
@@ -843,57 +764,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "FAIL: disabled observability hook costs %.1f ns > 100 ns\n",
                    ns_per_op);
-      return 1;
-    }
-  }
-
-  // -- Part G: streaming cross-batch overlap --------------------------------
-  {
-    const std::size_t kStreamShards = 4;
-    const std::size_t kStreamSigners = 4;
-    const std::size_t kStreamBatches = 6;
-    std::size_t stream_items = std::max<std::size_t>(pipeline_items / 2, 4);
-    std::printf(
-        "\nstreaming pipeline: %zu x %zu-item redeem batches, "
-        "%zu shards, %zu signers\n",
-        kStreamBatches, stream_items, kStreamShards, kStreamSigners);
-    StreamingResult r = RunStreamingOverlap(
-        kStreamShards, kStreamSigners, kStreamBatches, stream_items, key_bits);
-    double stage_sum = r.timings.verify_us + r.timings.spend_us + r.signing_us;
-    std::printf(
-        "  busy: verify=%8.0fus  spend=%6.0fus  signing=%8.0fus  sum=%8.0fus\n",
-        r.timings.verify_us, r.timings.spend_us, r.signing_us, stage_sum);
-    std::printf(
-        "  sim-makespan=%8.0fus (dispatch=%8.0fus, pool=%8.0fus)  "
-        "wall-span=%8.0fus  steals=%llu\n",
-        r.sim_makespan_us, r.dispatch_busy_us, r.pool_makespan_us,
-        r.timings.makespan_us, static_cast<unsigned long long>(r.steals));
-    report.Metric("streaming.verify_busy_us", r.timings.verify_us);
-    report.Metric("streaming.spend_busy_us", r.timings.spend_us);
-    report.Metric("streaming.signing_us", r.signing_us);
-    report.Metric("streaming.stage_sum_us", stage_sum);
-    report.Metric("streaming.sim_makespan_us", r.sim_makespan_us);
-    report.Metric("streaming.wall_makespan_us", r.timings.makespan_us);
-    report.Metric("streaming.pool_steals", static_cast<double>(r.steals));
-    report.Metric("streaming.completed", static_cast<double>(r.completed));
-    if (r.completed != kStreamBatches * stream_items) {
-      std::fprintf(stderr, "FAIL: streaming completed %llu of %zu items\n",
-                   static_cast<unsigned long long>(r.completed),
-                   kStreamBatches * stream_items);
-      return 1;
-    }
-    double ratio = stage_sum > 0 ? r.sim_makespan_us / stage_sum : 1.0;
-    std::printf("  overlap: makespan / stage sum = %.2fx (gate <= 0.85x)\n",
-                ratio);
-    report.Metric("streaming.makespan_over_stage_sum", ratio);
-    // The overlap claim, CI-gated: with verify/spend of later batches
-    // running while earlier batches sign on the pool, the schedule's
-    // makespan must come in well under the serial stage-time sum.
-    if (ratio > 0.85) {
-      std::fprintf(stderr,
-                   "FAIL: streaming makespan %.0fus > 0.85x stage sum %.0fus "
-                   "— no cross-batch overlap\n",
-                   r.sim_makespan_us, stage_sum);
       return 1;
     }
   }

@@ -65,7 +65,6 @@ ContentProvider::ContentProvider(const ContentProviderConfig& config,
   // set_time_source keeps working after construction.
   server::BatchPipeline::Config pipeline;
   pipeline.pool = signer_pool_.get();
-  pipeline.max_batches_in_flight = config_.max_batches_in_flight;
   pipeline.now_us = [this] {
     return time_source_ != nullptr ? time_source_() : server::SteadyNowUs();
   };
@@ -247,36 +246,27 @@ ContentProvider::PurchaseResult ContentProvider::Purchase(
   return result;
 }
 
-/// Per-batch purchase state, heap-boxed so the same plan serves both a
-/// synchronous call and a streamed batch that outlives its Submit call.
-struct ContentProvider::PurchaseBatchState {
-  std::vector<PurchaseItem> owned;  ///< streaming moves the batch here
-  const std::vector<PurchaseItem>* items = nullptr;  ///< always valid
-  std::vector<PurchaseResult> out;
-  std::vector<rel::Rights> rights_by_item;
+std::vector<ContentProvider::PurchaseResult> ContentProvider::PurchaseBatch(
+    const std::vector<PurchaseItem>& items) {
+  if (items.empty()) return {};
+  std::vector<PurchaseResult> out(items.size());
+  std::vector<rel::Rights> rights_by_item(items.size());
   std::vector<crypto::HmacDrbg> forks;
   std::vector<rel::License> issued;
-};
-
-server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
-    std::shared_ptr<PurchaseBatchState> st) {
-  st->out.resize(st->items->size());
-  st->rights_by_item.resize(st->items->size());
 
   server::BatchPipeline::Plan plan;
-  plan.item_count = st->items->size();
+  plan.item_count = items.size();
 
   // Verify: each distinct pseudonym certificate costs one full
   // verification (memoized within and across batches), then one shared
   // CRL probe pass covers every surviving item.
-  plan.verify = [this, st] {
-    const std::vector<PurchaseItem>& items = *st->items;
+  plan.verify = [&] {
     server::BatchVerifierStats before = verifier_.stats();
     std::vector<std::size_t> crl_items;
     std::vector<rel::KeyFingerprint> crl_keys;
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (!verifier_.VerifyPseudonymCert(ca_key_, items[i].buyer)) {
-        st->out[i].status = Status::kBadCertificate;
+        out[i].status = Status::kBadCertificate;
       } else {
         crl_items.push_back(i);
         crl_keys.push_back(items[i].buyer.KeyId());
@@ -287,7 +277,7 @@ server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
     eligible.reserve(crl_items.size());
     for (std::size_t j = 0; j < crl_items.size(); ++j) {
       if (revoked[j]) {
-        st->out[crl_items[j]].status = Status::kRevoked;
+        out[crl_items[j]].status = Status::kRevoked;
       } else {
         eligible.push_back(crl_items[j]);
       }
@@ -303,8 +293,7 @@ server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
   // already deposited. Per-item status is the first failing coin's, as
   // in Purchase(); already-deposited coins stay deposited
   // (bearer-instrument rules).
-  plan.mutate = [this, st](const std::vector<std::size_t>& eligible) {
-    const std::vector<PurchaseItem>& items = *st->items;
+  plan.mutate = [&](const std::vector<std::size_t>& eligible) {
     std::vector<Status> status(eligible.size(), Status::kOk);
     std::vector<PaymentProvider::DepositItem> coins;
     std::vector<std::size_t> coin_owner;  // coin -> index into eligible
@@ -324,7 +313,7 @@ server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
         status[j] = Status::kWrongPrice;
         continue;
       }
-      st->rights_by_item[i] = offer->rights;
+      rights_by_item[i] = offer->rights;
       for (const Coin& coin : items[i].payment) {
         coins.push_back(PaymentProvider::DepositItem{coin, kMerchantAccount});
         coin_owner.push_back(j);
@@ -346,57 +335,31 @@ server::BatchPipeline::Plan ContentProvider::BuildPurchasePlan(
   // Issue: license signing and content-key wrapping on the signer pool
   // (inline without one), one nonce-tagged RNG fork per item drawn in index
   // order on the dispatch thread.
-  plan.begin_issue = [st](std::size_t n) {
-    st->forks.reserve(n);
-    st->issued.resize(n);
+  plan.begin_issue = [&](std::size_t n) {
+    forks.reserve(n);
+    issued.resize(n);
   };
-  plan.draw_fork = [this, st](std::size_t k, std::size_t i) {
-    (void)k;
-    (void)i;
-    st->forks.push_back(PurchaseIssueRng());
+  plan.draw_fork = [&](std::size_t, std::size_t) {
+    forks.push_back(PurchaseIssueRng());
   };
-  plan.issue = [this, st](std::size_t k, std::size_t i, Status) {
-    const std::vector<PurchaseItem>& items = *st->items;
-    st->issued[k] = BuildLicense(rel::LicenseKind::kUserBound,
-                                 items[i].content_id, st->rights_by_item[i],
-                                 &items[i].buyer.pseudonym_key,
-                                 &st->forks[k]);
+  plan.issue = [&](std::size_t k, std::size_t i, Status) {
+    issued[k] = BuildLicense(rel::LicenseKind::kUserBound,
+                             items[i].content_id, rights_by_item[i],
+                             &items[i].buyer.pseudonym_key, &forks[k]);
   };
 
   // Commit — issued-key map, pseudonym bookkeeping and counters, on the
   // dispatch thread in index order.
-  plan.commit = [this, st](std::size_t k, std::size_t i, Status) {
-    const std::vector<PurchaseItem>& items = *st->items;
+  plan.commit = [&](std::size_t k, std::size_t i, Status) {
     pseudonyms_seen_.insert(items[i].buyer.KeyId());
-    RecordIssued(st->issued[k], &items[i].buyer.pseudonym_key);
-    st->out[i].license = std::move(st->issued[k]);
-    st->out[i].status = Status::kOk;
+    RecordIssued(issued[k], &items[i].buyer.pseudonym_key);
+    out[i].license = std::move(issued[k]);
+    out[i].status = Status::kOk;
   };
-  plan.reject = [st](std::size_t i, Status s) { st->out[i].status = s; };
-  return plan;
-}
+  plan.reject = [&](std::size_t i, Status s) { out[i].status = s; };
 
-std::vector<ContentProvider::PurchaseResult> ContentProvider::PurchaseBatch(
-    const std::vector<PurchaseItem>& items) {
-  if (items.empty()) return {};
-  auto st = std::make_shared<PurchaseBatchState>();
-  st->items = &items;  // borrowed: committed before we return
-  last_timings_ =
-      ToPipelineTimings(CommitThrough(BuildPurchasePlan(st), &obs_purchase_));
-  return std::move(st->out);
-}
-
-void ContentProvider::StreamPurchaseBatch(
-    std::vector<PurchaseItem> items,
-    std::function<void(std::vector<PurchaseResult>)> on_done) {
-  auto st = std::make_shared<PurchaseBatchState>();
-  st->owned = std::move(items);
-  st->items = &st->owned;
-  pipeline_->Submit(BuildPurchasePlan(st), &obs_purchase_,
-                    [st, cb = std::move(on_done)](
-                        const server::BatchPipelineTimings&) {
-                      if (cb != nullptr) cb(std::move(st->out));
-                    });
+  last_timings_ = ToPipelineTimings(pipeline_->Run(plan, &obs_purchase_));
+  return out;
 }
 
 void ContentProvider::set_observability(const obs::Sink& sink,
@@ -428,7 +391,6 @@ void ContentProvider::set_observability(const obs::Sink& sink,
   if (signer_pool_ != nullptr) {
     signer_pool_->set_observability(sink.registry, prefix + "signer_pool.");
   }
-  pipeline_->set_observability(sink.registry, prefix + "pipeline.");
 }
 
 std::vector<std::uint8_t> ContentProvider::TransferChallengeBytes(
@@ -505,32 +467,22 @@ ContentProvider::ExchangeResult ContentProvider::ExchangeForAnonymous(
   return result;
 }
 
-/// Per-batch exchange state; see PurchaseBatchState for the boxing rule.
-struct ContentProvider::ExchangeBatchState {
-  std::vector<ExchangeItem> owned;  ///< streaming moves the batch here
-  const std::vector<ExchangeItem>* items = nullptr;  ///< always valid
-  std::vector<ExchangeResult> out;
+std::vector<ContentProvider::ExchangeResult> ContentProvider::ExchangeBatch(
+    const std::vector<ExchangeItem>& items) {
+  if (items.empty()) return {};
+  std::vector<ExchangeResult> out(items.size());
   std::vector<crypto::HmacDrbg> forks;
   std::vector<rel::License> bearer;
-};
-
-server::BatchPipeline::Plan ContentProvider::BuildExchangePlan(
-    std::shared_ptr<ExchangeBatchState> st) {
-  st->out.resize(st->items->size());
 
   server::BatchPipeline::Plan plan;
-  plan.item_count = st->items->size();
+  plan.item_count = items.size();
 
   // Verify: one screened same-key verification covers every issuer
   // signature (all licenses are ours), one shared pass answers the CRL
   // probes on the bound keys, and the per-item possession proofs reuse
   // the verifier's cached Montgomery contexts. Checks run in the exact
   // order ExchangeForAnonymous applies them, so per-item statuses match.
-  // NOTE the issued_keys_ lookups: exchange verify reads state exchange
-  // commits write, so exchange batches that depend on each other's
-  // commits must not be streamed concurrently.
-  plan.verify = [this, st] {
-    const std::vector<ExchangeItem>& items = *st->items;
+  plan.verify = [&] {
     server::BatchVerifierStats before = verifier_.stats();
     std::vector<std::vector<std::uint8_t>> msgs;
     std::vector<std::vector<std::uint8_t>> sigs;
@@ -548,11 +500,11 @@ server::BatchPipeline::Plan ContentProvider::BuildExchangePlan(
     for (std::size_t i = 0; i < items.size(); ++i) {
       const rel::License& lic = items[i].license;
       if (!sig_ok[i]) {
-        st->out[i].status = Status::kBadSignature;
+        out[i].status = Status::kBadSignature;
       } else if (lic.kind != rel::LicenseKind::kUserBound) {
-        st->out[i].status = Status::kBadRequest;
+        out[i].status = Status::kBadRequest;
       } else if (!lic.rights.allow_transfer) {
-        st->out[i].status = Status::kNotTransferable;
+        out[i].status = Status::kNotTransferable;
       } else {
         crl_items.push_back(i);
         crl_keys.push_back(lic.bound_key);
@@ -565,18 +517,18 @@ server::BatchPipeline::Plan ContentProvider::BuildExchangePlan(
     for (std::size_t j = 0; j < crl_items.size(); ++j) {
       std::size_t i = crl_items[j];
       if (revoked[j]) {
-        st->out[i].status = Status::kRevoked;
+        out[i].status = Status::kRevoked;
         continue;
       }
       auto key_it = issued_keys_.find(items[i].license.bound_key);
       if (key_it == issued_keys_.end()) {
-        st->out[i].status = Status::kBadRequest;
+        out[i].status = Status::kBadRequest;
         continue;
       }
       if (!verifier_.VerifyFdh(key_it->second,
                                TransferChallengeBytes(items[i].license.id),
                                items[i].possession_sig)) {
-        st->out[i].status = Status::kBadSignature;
+        out[i].status = Status::kBadSignature;
         continue;
       }
       eligible.push_back(i);
@@ -587,59 +539,36 @@ server::BatchPipeline::Plan ContentProvider::BuildExchangePlan(
 
   // Mutate: retire the old licenses on their home shards. Shed items
   // keep their bearer-exchangeable license untouched.
-  plan.mutate = [this, st](const std::vector<std::size_t>& eligible) {
+  plan.mutate = [&](const std::vector<std::size_t>& eligible) {
     return SpendEligible(eligible,
-                         [st](std::size_t i) -> const rel::LicenseId& {
-                           return (*st->items)[i].license.id;
+                         [&](std::size_t i) -> const rel::LicenseId& {
+                           return items[i].license.id;
                          });
   };
 
   // Issue: bearer-license signing on the signer pool (inline without one),
   // one id-tagged fork per item drawn dispatch-side in index order.
-  plan.begin_issue = [st](std::size_t n) {
-    st->forks.reserve(n);
-    st->bearer.resize(n);
+  plan.begin_issue = [&](std::size_t n) {
+    forks.reserve(n);
+    bearer.resize(n);
   };
-  plan.draw_fork = [this, st](std::size_t k, std::size_t i) {
-    (void)k;
-    st->forks.push_back(ExchangeIssueRng((*st->items)[i].license.id));
+  plan.draw_fork = [&](std::size_t, std::size_t i) {
+    forks.push_back(ExchangeIssueRng(items[i].license.id));
   };
-  plan.issue = [this, st](std::size_t k, std::size_t i, Status) {
-    const rel::License& lic = (*st->items)[i].license;
-    st->bearer[k] = BuildLicense(rel::LicenseKind::kAnonymous,
-                                 lic.content_id, lic.rights, nullptr,
-                                 &st->forks[k]);
+  plan.issue = [&](std::size_t k, std::size_t i, Status) {
+    const rel::License& lic = items[i].license;
+    bearer[k] = BuildLicense(rel::LicenseKind::kAnonymous, lic.content_id,
+                             lic.rights, nullptr, &forks[k]);
   };
-  plan.commit = [this, st](std::size_t k, std::size_t i, Status) {
-    RecordIssued(st->bearer[k], nullptr);
-    st->out[i].anonymous_license = std::move(st->bearer[k]);
-    st->out[i].status = Status::kOk;
+  plan.commit = [&](std::size_t k, std::size_t i, Status) {
+    RecordIssued(bearer[k], nullptr);
+    out[i].anonymous_license = std::move(bearer[k]);
+    out[i].status = Status::kOk;
   };
-  plan.reject = [st](std::size_t i, Status s) { st->out[i].status = s; };
-  return plan;
-}
+  plan.reject = [&](std::size_t i, Status s) { out[i].status = s; };
 
-std::vector<ContentProvider::ExchangeResult> ContentProvider::ExchangeBatch(
-    const std::vector<ExchangeItem>& items) {
-  if (items.empty()) return {};
-  auto st = std::make_shared<ExchangeBatchState>();
-  st->items = &items;  // borrowed: committed before we return
-  last_timings_ =
-      ToPipelineTimings(CommitThrough(BuildExchangePlan(st), &obs_exchange_));
-  return std::move(st->out);
-}
-
-void ContentProvider::StreamExchangeBatch(
-    std::vector<ExchangeItem> items,
-    std::function<void(std::vector<ExchangeResult>)> on_done) {
-  auto st = std::make_shared<ExchangeBatchState>();
-  st->owned = std::move(items);
-  st->items = &st->owned;
-  pipeline_->Submit(BuildExchangePlan(st), &obs_exchange_,
-                    [st, cb = std::move(on_done)](
-                        const server::BatchPipelineTimings&) {
-                      if (cb != nullptr) cb(std::move(st->out));
-                    });
+  last_timings_ = ToPipelineTimings(pipeline_->Run(plan, &obs_exchange_));
+  return out;
 }
 
 RedemptionTranscript ContentProvider::MakeTranscript(
@@ -707,15 +636,6 @@ ContentProvider::IssuedRedemption ContentProvider::SignRedemption(
   return out;
 }
 
-server::BatchPipelineTimings ContentProvider::CommitThrough(
-    server::BatchPipeline::Plan plan, const server::PipelineObs* pobs) {
-  server::BatchPipelineTimings own;
-  pipeline_->Submit(std::move(plan), pobs,
-                    [&own](const server::BatchPipelineTimings& t) { own = t; });
-  pipeline_->Flush();
-  return own;
-}
-
 ContentProvider::PurchaseResult ContentProvider::CommitRedemption(
     const RedeemItem& item, IssuedRedemption issued) {
   PurchaseResult result;
@@ -742,22 +662,15 @@ ContentProvider::PurchaseResult ContentProvider::CommitRedemption(
   return result;
 }
 
-/// Per-batch redemption state; see PurchaseBatchState for the boxing
-/// rule.
-struct ContentProvider::RedeemBatchState {
-  std::vector<RedeemItem> owned;  ///< streaming moves the batch here
-  const std::vector<RedeemItem>* items = nullptr;  ///< always valid
-  std::vector<PurchaseResult> out;
+std::vector<ContentProvider::PurchaseResult>
+ContentProvider::RedeemAnonymousBatch(const std::vector<RedeemItem>& items) {
+  if (items.empty()) return {};
+  std::vector<PurchaseResult> out(items.size());
   std::vector<crypto::HmacDrbg> forks;
   std::vector<IssuedRedemption> issued;
-};
-
-server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
-    std::shared_ptr<RedeemBatchState> st) {
-  st->out.resize(st->items->size());
 
   server::BatchPipeline::Plan plan;
-  plan.item_count = st->items->size();
+  plan.item_count = items.size();
 
   // Verify, amortized: every license in the batch is signed by our own
   // key, so one screened same-key verification covers the whole group;
@@ -765,8 +678,7 @@ server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
   // pass answers the CRL probes. The RT-2 table counts the
   // verifications actually performed, which is the whole point of the
   // batch path.
-  plan.verify = [this, st] {
-    const std::vector<RedeemItem>& items = *st->items;
+  plan.verify = [&] {
     server::BatchVerifierStats before = verifier_.stats();
     std::vector<std::vector<std::uint8_t>> msgs;
     std::vector<std::vector<std::uint8_t>> sigs;
@@ -783,12 +695,12 @@ server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
     std::vector<rel::KeyFingerprint> crl_keys;
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (!sig_ok[i]) {
-        st->out[i].status = Status::kBadSignature;
+        out[i].status = Status::kBadSignature;
       } else if (items[i].anonymous_license.kind !=
                  rel::LicenseKind::kAnonymous) {
-        st->out[i].status = Status::kBadRequest;
+        out[i].status = Status::kBadRequest;
       } else if (!verifier_.VerifyPseudonymCert(ca_key_, items[i].taker)) {
-        st->out[i].status = Status::kBadCertificate;
+        out[i].status = Status::kBadCertificate;
       } else {
         crl_items.push_back(i);
         crl_keys.push_back(items[i].taker.KeyId());
@@ -799,7 +711,7 @@ server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
     eligible.reserve(crl_items.size());
     for (std::size_t j = 0; j < crl_items.size(); ++j) {
       if (revoked[j]) {
-        st->out[crl_items[j]].status = Status::kRevoked;
+        out[crl_items[j]].status = Status::kRevoked;
       } else {
         eligible.push_back(crl_items[j]);
       }
@@ -809,10 +721,10 @@ server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
   };
 
   // Mutate: shard-serialized spent-set updates on each id's home shard.
-  plan.mutate = [this, st](const std::vector<std::size_t>& eligible) {
+  plan.mutate = [&](const std::vector<std::size_t>& eligible) {
     return SpendEligible(eligible,
-                         [st](std::size_t i) -> const rel::LicenseId& {
-                           return (*st->items)[i].anonymous_license.id;
+                         [&](std::size_t i) -> const rel::LicenseId& {
+                           return items[i].anonymous_license.id;
                          });
   };
   // A detected double redemption still gets signed: the transcript is
@@ -821,53 +733,26 @@ server::BatchPipeline::Plan ContentProvider::BuildRedeemPlan(
 
   // Issue: transcript + fresh-license signing, the dominant per-item
   // private-key cost, fanned out to the signer pool (inline without one).
-  plan.begin_issue = [st](std::size_t n) {
-    st->forks.reserve(n);
-    st->issued.resize(n);
+  plan.begin_issue = [&](std::size_t n) {
+    forks.reserve(n);
+    issued.resize(n);
   };
-  plan.draw_fork = [this, st](std::size_t k, std::size_t i) {
-    (void)k;
-    st->forks.push_back(RedeemIssueRng((*st->items)[i].anonymous_license.id));
+  plan.draw_fork = [&](std::size_t, std::size_t i) {
+    forks.push_back(RedeemIssueRng(items[i].anonymous_license.id));
   };
-  plan.issue = [this, st](std::size_t k, std::size_t i, Status spend) {
-    st->issued[k] = SignRedemption((*st->items)[i], spend, &st->forks[k]);
+  plan.issue = [&](std::size_t k, std::size_t i, Status spend) {
+    issued[k] = SignRedemption(items[i], spend, &forks[k]);
   };
 
   // Commit — state mutations on the dispatch thread, in index order:
   // transcript map, fraud evidence, pseudonym bookkeeping, counters.
-  plan.commit = [this, st](std::size_t k, std::size_t i, Status) {
-    st->out[i] = CommitRedemption((*st->items)[i], std::move(st->issued[k]));
+  plan.commit = [&](std::size_t k, std::size_t i, Status) {
+    out[i] = CommitRedemption(items[i], std::move(issued[k]));
   };
-  plan.reject = [st](std::size_t i, Status s) { st->out[i].status = s; };
-  return plan;
-}
+  plan.reject = [&](std::size_t i, Status s) { out[i].status = s; };
 
-std::vector<ContentProvider::PurchaseResult>
-ContentProvider::RedeemAnonymousBatch(const std::vector<RedeemItem>& items) {
-  if (items.empty()) return {};
-  auto st = std::make_shared<RedeemBatchState>();
-  st->items = &items;  // borrowed: committed before we return
-  last_timings_ =
-      ToPipelineTimings(CommitThrough(BuildRedeemPlan(st), &obs_redeem_));
-  return std::move(st->out);
-}
-
-void ContentProvider::StreamRedeemBatch(
-    std::vector<RedeemItem> items,
-    std::function<void(std::vector<PurchaseResult>)> on_done) {
-  auto st = std::make_shared<RedeemBatchState>();
-  st->owned = std::move(items);
-  st->items = &st->owned;
-  pipeline_->Submit(BuildRedeemPlan(st), &obs_redeem_,
-                    [st, cb = std::move(on_done)](
-                        const server::BatchPipelineTimings&) {
-                      if (cb != nullptr) cb(std::move(st->out));
-                    });
-}
-
-ContentProvider::PipelineTimings ContentProvider::FlushStreaming() {
-  last_timings_ = ToPipelineTimings(pipeline_->Flush());
-  return last_timings_;
+  last_timings_ = ToPipelineTimings(pipeline_->Run(plan, &obs_redeem_));
+  return out;
 }
 
 std::optional<RedemptionTranscript> ContentProvider::TranscriptFor(

@@ -78,13 +78,13 @@ struct ContentProviderConfig {
   std::size_t redeem_queue_capacity = 4096;
   /// Dedicated work-stealing signer pool for the issue stage
   /// (server::SignerPool), sized independently of redeem_shards. 0 signs
-  /// on the dispatch thread; N > 0 runs EVERY issue stage — synchronous
-  /// and streamed batches alike — on N pool workers plus the dispatch
-  /// thread, which joins each batch's signing at its commit.
+  /// on the dispatch thread; N > 0 runs every batch's issue stage on N
+  /// pool workers plus the dispatch thread, which joins the signing.
   std::size_t signer_pool_size = 0;
-  /// Streaming window: the Stream* calls keep at most this many batches
-  /// in flight before committing the oldest.
-  std::size_t max_batches_in_flight = 4;
+  /// The provider's fixed policy, not a setting: every batch call runs
+  /// its batch to completion before it returns, so one batch is in
+  /// flight at a time.
+  static constexpr std::size_t max_batches_in_flight = 1;
 };
 
 /// The content provider actor.
@@ -216,47 +216,6 @@ class ContentProvider {
   std::vector<PurchaseResult> RedeemAnonymousBatch(
       const std::vector<RedeemItem>& items);
 
-  // -- streaming (cross-batch stage overlap) ---------------------------------
-  //
-  // Every batch call above and below goes through the provider's one
-  // server::BatchPipeline. A synchronous call submits its batch and
-  // commits through it: any streamed batches still in flight commit
-  // first, in submit order, and the call closes the streaming timing
-  // window. The Stream* entry points instead return with the batch in
-  // flight (verify, mutate and the fork draw already done, so sheds
-  // surface immediately and the DRBG stream stays in submit order), and
-  // batch B+1's verify overlaps batch B's signing. Results arrive
-  // through \p on_done, invoked on the caller's own thread at the batch's
-  // commit point (inside a later batch call once the in-flight window
-  // fills, or inside FlushStreaming). Ordering contract: commits apply in
-  // submit order, each batch's tail in index order, and under a fixed
-  // seed the issued bytes are identical to calling the synchronous
-  // batch entry points in the same order. Batches streamed concurrently
-  // must be commit-independent (an exchange whose verify needs an
-  // issued-key-map entry a still-in-flight batch will write must wait
-  // for FlushStreaming).
-
-  /// Streams one redemption batch into the pipeline. \p on_done may be
-  /// null (results dropped).
-  void StreamRedeemBatch(std::vector<RedeemItem> items,
-                         std::function<void(std::vector<PurchaseResult>)>
-                             on_done);
-  /// Streams one purchase batch. The coin deposits still run inline
-  /// inside this call (blocking, like PurchaseBatch).
-  void StreamPurchaseBatch(std::vector<PurchaseItem> items,
-                           std::function<void(std::vector<PurchaseResult>)>
-                               on_done);
-  /// Streams one exchange batch.
-  void StreamExchangeBatch(std::vector<ExchangeItem> items,
-                           std::function<void(std::vector<ExchangeResult>)>
-                               on_done);
-
-  // FlushStreaming() — declared below PipelineTimings — joins and
-  // commits every in-flight streamed batch and closes the window.
-
-  /// Streamed batches submitted but not yet committed.
-  std::size_t StreamingInFlight() const { return pipeline_->InFlight(); }
-
   /// The dedicated signer pool, or null when signer_pool_size == 0.
   const server::SignerPool* Pool() const { return signer_pool_.get(); }
   server::SignerPool* Pool() { return signer_pool_.get(); }
@@ -267,13 +226,12 @@ class ContentProvider {
   }
 
   /// Stage breakdown (microseconds) of the most recent
-  /// RedeemAnonymousBatch / PurchaseBatch / ExchangeBatch call, or of the
-  /// window FlushStreaming closed; the definitions are
-  /// server::BatchPipelineTimings'. `issue_us` runs from the fork draw to
-  /// the end of the batch's last signature — with a signer pool it
-  /// shrinks toward the slowest signer's share, while the signing work
-  /// itself accrues on the pool's worker and joiner sim clocks
-  /// (SignerPool::WorkerSimClockUs, JoinerSimClockUs).
+  /// RedeemAnonymousBatch / PurchaseBatch / ExchangeBatch call; the
+  /// definitions are server::BatchPipelineTimings'. `issue_us` runs from
+  /// the fork draw to the end of the batch's last signature — with a
+  /// signer pool it shrinks toward the slowest signer's share, while the
+  /// signing work itself accrues on the pool's worker and joiner sim
+  /// clocks (SignerPool::WorkerSimClockUs, JoinerSimClockUs).
   struct PipelineTimings {
     double verify_us = 0;  ///< batch-verify stage (signatures, certs, CRL)
     double spend_us = 0;   ///< shard-serialized state stage (spend set / bank)
@@ -282,13 +240,6 @@ class ContentProvider {
     std::size_t items = 0;
   };
   PipelineTimings LastBatchTimings() const { return last_timings_; }
-
-  /// Commits every in-flight streamed batch (running their on_done
-  /// callbacks) and closes the timing window. The returned timings — also
-  /// visible via LastBatchTimings — sum each stage over the window's
-  /// batches, and `makespan_us` runs from the first verify start to the
-  /// last issue end; overlap shows as makespan < verify+spend+issue.
-  PipelineTimings FlushStreaming();
 
   /// Injects the clock behind LastBatchTimings and the signer pool's
   /// sim-clock accrual (null = steady_clock). A deterministic source
@@ -400,26 +351,6 @@ class ContentProvider {
   PurchaseResult CommitRedemption(const RedeemItem& item,
                                   IssuedRedemption issued);
 
-  /// Submits \p plan and commits through it; returns the batch's own
-  /// timings. The synchronous batch calls' one way into the pipeline.
-  server::BatchPipelineTimings CommitThrough(server::BatchPipeline::Plan plan,
-                                             const server::PipelineObs* pobs);
-
-  // Heap-boxed per-batch state for the shared plan builders: the
-  // synchronous batch calls and the streaming Stream* calls run the SAME
-  // plans, but a streamed batch outlives its Submit call, so everything
-  // a plan touches lives in one of these (kept alive by the shared_ptr
-  // the plan's callbacks capture) instead of a caller's stack frame.
-  struct RedeemBatchState;
-  struct PurchaseBatchState;
-  struct ExchangeBatchState;
-  server::BatchPipeline::Plan BuildRedeemPlan(
-      std::shared_ptr<RedeemBatchState> st);
-  server::BatchPipeline::Plan BuildPurchasePlan(
-      std::shared_ptr<PurchaseBatchState> st);
-  server::BatchPipeline::Plan BuildExchangePlan(
-      std::shared_ptr<ExchangeBatchState> st);
-
   ContentProviderConfig config_;
   bignum::RandomSource* rng_;
   const Clock* clock_;
@@ -438,6 +369,7 @@ class ContentProvider {
 
   std::unique_ptr<server::ServerRuntime> runtime_;  ///< spent set + journal
   std::unique_ptr<server::SignerPool> signer_pool_;  ///< dedicated issue pool
+  std::unique_ptr<server::BatchPipeline> pipeline_;  ///< every batch call
   server::BatchVerifier verifier_;
   store::RevocationList crl_;
   // First-seen transcript per redeemed license id (fraud evidence basis).
@@ -458,10 +390,6 @@ class ContentProvider {
   server::PipelineObs obs_redeem_;
   server::PipelineObs obs_purchase_;
   server::PipelineObs obs_exchange_;
-  // Declared last so it is destroyed first: its destructor commits the
-  // batches still in flight, whose commit tails and PipelineObs pointers
-  // reach the members above.
-  std::unique_ptr<server::BatchPipeline> pipeline_;
 };
 
 }  // namespace core

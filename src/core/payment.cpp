@@ -132,17 +132,10 @@ Status PaymentProvider::Deposit(const Coin& coin,
   return Status::kOk;
 }
 
-/// Per-batch deposit state. `items` borrows from the DepositBatch caller:
-/// the batch commits before the call returns.
-struct PaymentProvider::DepositBatchState {
-  const std::vector<DepositItem>* items = nullptr;
-  std::vector<Status> out;
-};
-
-server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
-    DepositBatchState* st, bool shed_on_full) {
-  const std::vector<DepositItem>& items = *st->items;
-  st->out.assign(items.size(), Status::kBadRequest);
+std::vector<Status> PaymentProvider::DepositBatch(
+    const std::vector<DepositItem>& items, bool shed_on_full) {
+  if (items.empty()) return {};
+  std::vector<Status> out(items.size(), Status::kBadRequest);
 
   server::BatchPipeline::Plan plan;
   plan.item_count = items.size();
@@ -151,16 +144,15 @@ server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
   // verification per denomination group — the key *is* the
   // denomination, so a retail batch collapses to a handful of group
   // checks on cached Montgomery contexts.
-  plan.verify = [this, st] {
-    const std::vector<DepositItem>& items = *st->items;
+  plan.verify = [&] {
     server::BatchVerifierStats before = verifier_.stats();
     std::map<std::uint32_t, std::vector<std::size_t>> by_denom;
     for (std::size_t i = 0; i < items.size(); ++i) {
       if (accounts_.find(items[i].merchant_account) == accounts_.end()) {
-        st->out[i] = Status::kUnknownAccount;
+        out[i] = Status::kUnknownAccount;
       } else if (denom_pub_.find(items[i].coin.denomination) ==
                  denom_pub_.end()) {
-        st->out[i] = Status::kBadRequest;
+        out[i] = Status::kBadRequest;
       } else {
         by_denom[items[i].coin.denomination].push_back(i);
       }
@@ -182,7 +174,7 @@ server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
         if (ok[j]) {
           eligible.push_back(group[j]);
         } else {
-          st->out[group[j]] = Status::kPaymentFailed;
+          out[group[j]] = Status::kPaymentFailed;
         }
       }
     }
@@ -195,8 +187,7 @@ server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
 
   // Mutate: serial inserts on each coin's home shard — duplicates
   // within the batch resolve there in index order, first wins.
-  plan.mutate = [this, st, shed_on_full](const std::vector<std::size_t>& eligible) {
-    const std::vector<DepositItem>& items = *st->items;
+  plan.mutate = [&](const std::vector<std::size_t>& eligible) {
     std::vector<rel::LicenseId> serials;
     serials.reserve(eligible.size());
     for (std::size_t i : eligible) serials.push_back(SerialKey(items[i].coin));
@@ -213,29 +204,19 @@ server::BatchPipeline::Plan PaymentProvider::BuildDepositPlan(
   // No issue stage: deposits sign nothing. Commit credits the accounts
   // on the dispatch thread in index order — exactly one credit per
   // fresh serial.
-  plan.commit = [this, st](std::size_t k, std::size_t i, Status) {
-    (void)k;
-    const DepositItem& item = (*st->items)[i];
+  plan.commit = [&](std::size_t, std::size_t i, Status) {
+    const DepositItem& item = items[i];
     accounts_[item.merchant_account] += item.coin.denomination;
     ++deposited_coins_;
-    st->out[i] = Status::kOk;
+    out[i] = Status::kOk;
   };
-  plan.reject = [this, st](std::size_t i, Status s) {
+  plan.reject = [&](std::size_t i, Status s) {
     if (s == Status::kDoubleSpend) ++double_spend_attempts_;
-    st->out[i] = s;
+    out[i] = s;
   };
-  return plan;
-}
 
-std::vector<Status> PaymentProvider::DepositBatch(
-    const std::vector<DepositItem>& items, bool shed_on_full) {
-  if (items.empty()) return {};
-
-  DepositBatchState st;
-  st.items = &items;
-  pipeline_.Submit(BuildDepositPlan(&st, shed_on_full), &obs_deposit_);
-  pipeline_.Flush();
-  return std::move(st.out);
+  pipeline_.Run(plan, &obs_deposit_);
+  return out;
 }
 
 void PaymentProvider::set_observability(const obs::Sink& sink,

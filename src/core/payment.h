@@ -101,8 +101,7 @@ class PaymentProvider {
     std::string merchant_account;
   };
 
-  /// Deposits a whole batch through the bank's server::BatchPipeline
-  /// (a window of one, committed before the call returns):
+  /// Deposits a whole batch through the bank's server::BatchPipeline:
   /// verify (ONE screened same-key verification per denomination group,
   /// cached Montgomery contexts), mutate (serial inserts on each coin's
   /// home shard — the backpressure point),
@@ -144,11 +143,6 @@ class PaymentProvider {
   Status SpendSerial(const Coin& coin);
   static rel::LicenseId SerialKey(const Coin& coin);
 
-  /// Per-batch deposit state the plan's callbacks share.
-  struct DepositBatchState;
-  server::BatchPipeline::Plan BuildDepositPlan(DepositBatchState* st,
-                                               bool shed_on_full);
-
   PaymentProviderConfig config_;
   bignum::RandomSource* rng_;
   std::map<std::uint32_t, crypto::RsaPrivateKey> denom_keys_;
@@ -160,8 +154,7 @@ class PaymentProvider {
   std::uint64_t deposited_coins_ = 0;
   std::uint64_t double_spend_attempts_ = 0;
   server::PipelineObs obs_deposit_;  ///< null endpoints = off
-  /// Window of one, no signer pool (deposits sign nothing). Declared last
-  /// so it is destroyed before the state its commit tails write.
+  /// No signer pool: deposits sign nothing.
   server::BatchPipeline pipeline_{server::BatchPipeline::Config{}};
 };
 

@@ -21,6 +21,23 @@ void WriteOffer(net::ByteWriter* w, const Offer& o) {
   o.rights.Encode(w);
 }
 
+/// Smallest encodings of one list element: a coin blob is at least its
+/// u32 length prefix; an offer is id, title length prefix, price and the
+/// fixed-size rights record (u8 flags, u32 plays, u64 expiry, u8 level).
+constexpr std::size_t kMinCoinBytes = 4;
+constexpr std::size_t kMinOfferBytes = 8 + 4 + 8 + (1 + 4 + 8 + 1);
+
+/// Reads a u32 element count, rejecting one the unread bytes cannot hold
+/// at \p min_item_bytes per element, so a hostile count fails as a
+/// CodecError instead of sizing a reserve().
+std::uint32_t ReadCount(net::ByteReader* r, std::size_t min_item_bytes) {
+  std::uint32_t n = r->U32();
+  if (n > r->Remaining() / min_item_bytes) {
+    throw net::CodecError("element count exceeds payload");
+  }
+  return n;
+}
+
 Offer ReadOffer(net::ByteReader* r) {
   Offer o;
   o.content_id = r->U64();
@@ -182,7 +199,7 @@ std::vector<std::uint8_t> CatalogResponse::Encode() const {
 CatalogResponse CatalogResponse::Decode(const std::vector<std::uint8_t>& b) {
   net::ByteReader r(b);
   CatalogResponse m;
-  std::uint32_t n = r.U32();
+  std::uint32_t n = ReadCount(&r, kMinOfferBytes);
   m.offers.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) m.offers.push_back(ReadOffer(&r));
   return m;
@@ -201,7 +218,7 @@ PurchaseRequest PurchaseRequest::Decode(net::ByteReader* r) {
   PurchaseRequest m;
   m.buyer = PseudonymCertificate::Deserialize(r->Blob());
   m.content_id = r->U64();
-  std::uint32_t n = r->U32();
+  std::uint32_t n = ReadCount(r, kMinCoinBytes);
   m.payment.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     m.payment.push_back(Coin::Deserialize(r->Blob()));

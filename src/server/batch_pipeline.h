@@ -24,45 +24,32 @@
 ///      fork-drawing rule that makes parallel issuance bit-identical to
 ///      serial under a fixed DRBG seed — then the items are dealt to the
 ///      signer pool, when there is one.
-///   4. **commit** — joins the issue stage and applies the result
-///      mutations on the dispatch thread, again in index order.
+///   4. **commit** — applies the result mutations on the dispatch
+///      thread, in index order, once every issue item has finished.
 ///
-/// A batch's life is split in two:
+/// `Run(plan)` is one blocking call through all four stages:
 ///
-///   Submit(plan):  verify -> mutate -> reject/shed -> draw_fork -> deal
-///   commit:        SignerPool::Join (the dispatch thread signs the
-///                  batch's not-yet-started items, then waits) -> commit
-///                  tail -> on_commit
+///   verify -> mutate -> reject/shed -> draw_fork -> issue (SignerPool::Run:
+///   the dispatch thread signs the batch's not-yet-started items, then
+///   waits) -> commit tail
 ///
-/// With no pool, the join runs every issue item on the dispatch thread.
-/// A batch commits when the in-flight window is full (inside a later
-/// Submit) or at Flush. A synchronous batch call is Submit + Flush: it
-/// commits every earlier batch, in submit order, and then its own. With
-/// a window above one, batch B+1's verify runs while batch B signs on
-/// the pool — the cross-batch overlap.
+/// With no pool, every issue item runs on the dispatch thread. A batch
+/// is finished when Run returns; no state outlives the call.
 ///
 /// Ordering and determinism contract:
-///  * Verify and draw_fork run inside Submit, so every shared-RNG draw
-///    happens on the dispatch thread in submit order — the DRBG stream
-///    is the same whatever the window, which makes windowed issuance
-///    bit-identical to one batch at a time under a fixed seed.
-///  * kOverloaded sheds surface inside Submit (reject runs before Submit
-///    returns) and never reach issue or commit.
-///  * Commits apply strictly in submit order, each batch's tail in
-///    ascending k, on the dispatch thread, at points fixed by the
-///    Submit/Flush call sequence — never "when the signers happen to
-///    finish".
-///  * Corollary: batches in flight together must be commit-independent —
-///    a flow whose verify reads state its own commit writes (exchange
-///    consulting the issued-key map) may only overlap batches that do
-///    not depend on each other's commits.
+///  * Verify and draw_fork run on the dispatch thread, so every
+///    shared-RNG draw happens there in call order — which makes pooled
+///    issuance bit-identical to inline issuance under a fixed seed.
+///  * kOverloaded sheds surface at the mutate stage (reject runs before
+///    any issue item) and never reach issue or commit.
+///  * The commit tail applies in ascending k, on the dispatch thread,
+///    after the issue stage has joined — never "when the signers happen
+///    to finish".
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/errors.h"
@@ -88,15 +75,13 @@ inline std::uint64_t SteadyNowUs() {
           .count());
 }
 
-/// Per-stage timings (microseconds). For one batch: `verify_us` and
+/// Per-stage timings of one batch (microseconds): `verify_us` and
 /// `mutate_us` are the dispatch thread's wall spans of those stages;
 /// `issue_us` runs from the start of the fork draw to the end of the
 /// batch's last issue item; `makespan_us` runs from verify start to that
-/// issue end (the commit tail is excluded). For a window of batches the
-/// three stage numbers are sums over its batches, and `makespan_us` runs
-/// from the first verify start to the last issue end — overlap makes it
-/// smaller than the stage sum. Busy signing time lives only on the
-/// signer clocks (SignerPool::WorkerSimClockUs / JoinerSimClockUs).
+/// issue end (the commit tail is excluded). Busy signing time lives only
+/// on the signer clocks (SignerPool::WorkerSimClockUs /
+/// JoinerSimClockUs).
 struct BatchPipelineTimings {
   double verify_us = 0;
   double mutate_us = 0;
@@ -113,8 +98,7 @@ struct BatchPipelineTimings {
 /// null (off). Span names must be static literals (the tracer stores the
 /// pointer); the registry ids are meaningful only when `registry` is
 /// non-null — whoever sets the registry registers all five. The issue
-/// span marks the commit-time join, so spans nest per thread with
-/// several batches in flight.
+/// span covers the signing after the fork draw.
 struct PipelineObs {
   obs::Tracer* tracer = nullptr;
   obs::Registry* registry = nullptr;
@@ -139,9 +123,6 @@ class BatchPipeline {
   /// Index vocabulary: `item` is an index into the caller's batch,
   /// `k` is an index into the live set (items that passed verify and
   /// whose mutate status proceeds), assigned in ascending item order.
-  ///
-  /// The callbacks must stay valid until the batch commits; state they
-  /// capture by reference must outlive that point.
   struct Plan {
     std::size_t item_count = 0;
 
@@ -166,8 +147,8 @@ class BatchPipeline {
     /// so the flow can size its fork/result arrays.
     std::function<void(std::size_t live_count)> begin_issue;
 
-    /// Fork-drawing hook: dispatch thread, ascending k, before the
-    /// items are dealt. This ordering is what a fixed seed's
+    /// Fork-drawing hook: dispatch thread, ascending k, before any
+    /// issue item runs. This ordering is what a fixed seed's
     /// bit-identical serial/parallel guarantee rests on.
     std::function<void(std::size_t k, std::size_t item)> draw_fork;
 
@@ -189,69 +170,29 @@ class BatchPipeline {
   };
 
   struct Config {
-    /// Issue target. Null runs every issue item on the dispatch thread
-    /// at commit.
+    /// Issue target. Null runs every issue item on the dispatch thread.
     SignerPool* pool = nullptr;
-
-    /// Submit first commits the oldest batch while this many are in
-    /// flight. 1 commits each batch no later than the next Submit.
-    std::size_t max_batches_in_flight = 1;
 
     /// Stage-timing clock (null = SteadyNowUs).
     TimeSourceUs now_us;
   };
 
-  /// Runs after the batch's commit tail (dispatch thread) with the
-  /// batch's own timings.
-  using OnCommit = std::function<void(const BatchPipelineTimings&)>;
-
-  explicit BatchPipeline(Config cfg);
-
-  /// Commits every batch still in flight.
-  ~BatchPipeline();
+  explicit BatchPipeline(Config cfg) : cfg_(std::move(cfg)) {}
 
   BatchPipeline(const BatchPipeline&) = delete;
   BatchPipeline& operator=(const BatchPipeline&) = delete;
 
-  /// Runs verify/mutate/draw_fork for \p plan on the calling thread,
-  /// deals its issue items to the pool, and returns with the batch in
-  /// flight — first committing the oldest batches while the window is
-  /// full. \p pobs, when non-null, receives the batch's spans and
-  /// histograms and must outlive its commit.
-  void Submit(Plan plan, const PipelineObs* pobs = nullptr,
-              OnCommit on_commit = nullptr);
-
-  /// Commits everything in flight, in submit order, and closes the
-  /// timing window: returns the window's timings (see
-  /// BatchPipelineTimings) over every batch committed since the last
-  /// Flush. An empty window returns zeros.
-  BatchPipelineTimings Flush();
-
-  /// Batches submitted but not yet committed.
-  std::size_t InFlight() const { return inflight_.size(); }
-
-  /// Wires `<prefix>batches_in_flight` (gauge, +1 at Submit, -1 at
-  /// commit). Call before the first Submit; nullptr detaches.
-  void set_observability(obs::Registry* registry, const std::string& prefix);
+  /// Runs \p plan through verify -> mutate -> reject/shed -> draw_fork ->
+  /// issue -> commit on the calling thread (issue items also on the
+  /// pool) and returns the batch's timings. \p pobs, when non-null,
+  /// receives the batch's spans and histograms.
+  BatchPipelineTimings Run(const Plan& plan,
+                           const PipelineObs* pobs = nullptr) const;
 
  private:
-  struct InFlightBatch;
-
   std::uint64_t Now() const;
-  void CommitHead();
 
   Config cfg_;
-  // unique_ptr elements: issue items on the pool hold raw pointers into
-  // the batch, so its address must survive deque growth.
-  std::deque<std::unique_ptr<InFlightBatch>> inflight_;
-
-  BatchPipelineTimings window_;  // sums over the open window
-  bool window_open_ = false;
-  std::uint64_t window_start_us_ = 0;  // first verify start
-  std::uint64_t window_end_us_ = 0;    // last issue end
-
-  obs::Registry* registry_ = nullptr;
-  obs::Registry::Id gauge_inflight_ = 0;
 };
 
 }  // namespace server

@@ -93,7 +93,9 @@ struct ServerRuntimeConfig {
   /// ONE CRC'd block via AppendLog::AppendMany — one write() per shard
   /// group instead of one per record. Off = the legacy per-record Append
   /// path (kept as the bench_server_scaling mutate-stage baseline).
-  /// Either way a spend is durable before SpendBatch returns it as kOk.
+  /// Either way a spend's journal record has been handed to write(2),
+  /// with no fsync, before SpendBatch returns it as kOk: it survives a
+  /// process crash, not an OS crash or power loss.
   bool group_commit_journal = true;
 };
 

@@ -5,22 +5,17 @@
 namespace p2drm {
 namespace server {
 
-// Completion state for one SubmitBatch call. `remaining` is guarded by
-// `m`; the last item to finish notifies under the lock, and the
-// shared_ptr keeps the batch alive until every item AND every ticket
-// copy has let go, so there is no destroyed-while-notifying window.
+// Completion state for one Run call, on that call's stack frame: Run
+// cannot return before `remaining` reaches 0, so every item's raw
+// pointer outlives its use. `remaining` is guarded by `m`; the last item
+// notifies under the lock, so the waiter cannot see 0, return and
+// destroy the batch before that notify has finished.
 struct SignerPool::Batch {
-  Job work;
+  const Job* work = nullptr;
   std::mutex m;
   std::condition_variable done_cv;
   std::size_t remaining = 0;
 };
-
-void SignerPool::Ticket::Wait() {
-  if (batch_ == nullptr) return;
-  std::unique_lock<std::mutex> lk(batch_->m);
-  batch_->done_cv.wait(lk, [this] { return batch_->remaining == 0; });
-}
 
 SignerPool::SignerPool(std::size_t worker_count) {
   if (worker_count == 0) worker_count = 1;
@@ -45,12 +40,11 @@ SignerPool::~SignerPool() {
   }
 }
 
-SignerPool::Ticket SignerPool::SubmitBatch(std::size_t count, Job work) {
-  auto batch = std::make_shared<Batch>();
-  batch->work = std::move(work);
-  batch->remaining = count;
-  Ticket ticket(batch);
-  if (count == 0) return ticket;
+void SignerPool::Run(std::size_t count, const Job& work) {
+  if (count == 0) return;
+  Batch batch;
+  batch.work = &work;
+  batch.remaining = count;
 
   // Publish the item count BEFORE dealing: a worker that wakes on the
   // notify below and finds its deque still empty rechecks the predicate
@@ -61,7 +55,7 @@ SignerPool::Ticket SignerPool::SubmitBatch(std::size_t count, Job work) {
   for (std::size_t k = 0; k < count; ++k) {
     Worker& w = *workers_[k % n];
     std::lock_guard<std::mutex> lk(w.m);
-    w.dq.push_back(Item{batch, k});
+    w.dq.push_back(Item{&batch, k});
   }
   if (registry_ != nullptr) {
     registry_->GaugeAdd(gauge_queue_, static_cast<std::int64_t>(count));
@@ -72,27 +66,25 @@ SignerPool::Ticket SignerPool::SubmitBatch(std::size_t count, Job work) {
     std::lock_guard<std::mutex> lk(sleep_m_);
   }
   sleep_cv_.notify_all();
-  return ticket;
-}
 
-void SignerPool::Join(Ticket& ticket) {
-  if (ticket.batch_ == nullptr) return;
-  // The joiner signs its own batch's not-yet-started items instead of
+  // The caller signs its own batch's not-yet-started items instead of
   // sleeping, so it never idles while its work queues behind other
-  // batches, and the join completes even if every worker is busy. What
-  // the workers already started, Wait() covers.
+  // batches, and the batch completes even if every worker is busy.
   SignerContext joiner;
-  joiner.index = workers_.size();
+  joiner.index = n;
   std::size_t cursor = 0;
   Item item;
-  while (TryPopOwn(ticket.batch_.get(), &cursor, &item)) {
+  while (TryPopOwn(&batch, &cursor, &item)) {
     OnDequeued();
     RunItem(item, joiner);
   }
   joiner_sim_clock_us_.fetch_add(
       joiner.sim_clock_us.load(std::memory_order_relaxed),
       std::memory_order_relaxed);
-  ticket.Wait();
+
+  // What the workers already started: wait for it.
+  std::unique_lock<std::mutex> lk(batch.m);
+  batch.done_cv.wait(lk, [&batch] { return batch.remaining == 0; });
 }
 
 bool SignerPool::TryPopOwn(const Batch* batch, std::size_t* cursor,
@@ -105,7 +97,7 @@ bool SignerPool::TryPopOwn(const Batch* batch, std::size_t* cursor,
     Worker& w = *workers_[(*cursor + d) % n];
     std::lock_guard<std::mutex> lk(w.m);
     for (auto it = w.dq.rbegin(); it != w.dq.rend(); ++it) {
-      if (it->batch.get() != batch) continue;
+      if (it->batch != batch) continue;
       *item = std::move(*it);
       w.dq.erase(std::next(it).base());
       *cursor = (*cursor + d + 1) % n;
@@ -123,10 +115,10 @@ void SignerPool::OnDequeued() {
 }
 
 // noexcept: a job that throws ends the process on whichever thread runs
-// it. On the joiner, unwinding out of Join would otherwise destroy
-// state the batch's items on the workers still reference.
+// it. On the joiner, unwinding out of Run would otherwise destroy the
+// batch while its items on the workers still reference it.
 void SignerPool::RunItem(Item& item, SignerContext& ctx) noexcept {
-  item.batch->work(ctx, item.k);
+  (*item.batch->work)(ctx, item.k);
   ctx.executed.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lk(item.batch->m);
   if (--item.batch->remaining == 0) item.batch->done_cv.notify_all();
@@ -138,15 +130,6 @@ std::uint64_t SignerPool::Steals() const {
     total += w->steals.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-std::uint64_t SignerPool::MaxWorkerSimClockUs() const {
-  std::uint64_t max_us = 0;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    std::uint64_t us = WorkerSimClockUs(i);
-    if (us > max_us) max_us = us;
-  }
-  return max_us;
 }
 
 void SignerPool::set_observability(obs::Registry* registry,
@@ -203,8 +186,7 @@ void SignerPool::WorkerLoop(std::size_t index) {
              pending_.load(std::memory_order_acquire) > 0;
     });
     // Exit only once the deques are provably drained: stop_ set and no
-    // dealt item unpopped. An item popped elsewhere but still running
-    // belongs to that worker; its ticket completes independently.
+    // dealt item unpopped.
     if (stop_.load(std::memory_order_acquire) &&
         pending_.load(std::memory_order_acquire) == 0) {
       return;

@@ -14,32 +14,32 @@
 /// idling.
 ///
 /// Scheduling contract:
-///  * `SubmitBatch(count, work)` deals item k to deque k mod W and
-///    returns a Ticket; `Ticket::Wait()` blocks until every item of that
-///    batch has executed. Batches from different callers interleave
-///    freely — fairness across batches is by deal order, not FIFO.
+///  * `Run(count, work)` is one blocking call: it deals item k to deque
+///    k mod W, then the calling thread joins — it takes not-yet-started
+///    items of THAT batch from the back of the deques and runs them on a
+///    per-call joiner context (index worker_count()) — and finally waits
+///    for the items already running on workers. It returns once every
+///    item of the batch has executed. Concurrent callers' batches
+///    interleave freely — fairness across batches is by deal order, not
+///    FIFO — and a caller never runs another caller's items.
 ///  * A worker pops its own deque from the FRONT (oldest first, keeps
 ///    per-batch index order roughly ascending per worker) and steals
 ///    from the BACK of a victim's deque, scanning victims starting at
 ///    its right-hand neighbour. Back-stealing takes the work the owner
 ///    would reach last, which minimizes owner/thief contention.
-///  * `Join(ticket)` is the joining wait: the calling thread takes
-///    not-yet-started items of THAT batch from the back of the deques and
-///    runs them on a per-call joiner context (index worker_count()), then
-///    waits only for items already running on workers. A joiner pop
-///    counts as a dequeue (pending count, queue_depth) but not as a
-///    steal; its signing time accrues onto JoinerSimClockUs(). The
-///    joiner is therefore one more signer, so a pool of cores - 1
-///    workers keeps every core signing. `Ticket::Wait()` does not join.
+///  * A joiner pop counts as a dequeue (pending count, queue_depth) but
+///    not as a steal; its signing time accrues onto JoinerSimClockUs().
+///    The joiner is therefore one more signer, so a pool of cores - 1
+///    workers keeps every core signing, and a Run completes even when
+///    every worker is busy elsewhere.
 ///  * Work items must be thread-safe, must not throw (a throwing item
 ///    terminates the process, whichever thread runs it), and write only
 ///    disjoint per-k state — the same contract as
 ///    BatchPipeline::Plan::issue. The pool guarantees nothing about
 ///    WHICH worker runs an item, so issuance determinism must come from
 ///    dispatch-side DRBG forks, never from worker identity.
-///  * Shutdown drains: the destructor wakes every worker and each one
-///    exits only once every queued item (its own or stolen) has run, so
-///    a Ticket outstanding at destruction time still completes.
+///  * The destructor must not race a Run call; it wakes every worker and
+///    joins them.
 ///
 /// Observability (all optional, off when no registry is wired):
 /// `<prefix>queue_depth` gauge counts queued-not-yet-started items and
@@ -63,11 +63,11 @@ namespace server {
 
 /// Per-worker context handed to every job the worker runs. The counters
 /// are relaxed atomics so harnesses may read them while other batches
-/// are still in flight; for exact values quiesce first (Ticket::Wait on
-/// everything outstanding, or destruction).
+/// are still in flight; for exact values quiesce first (every Run call
+/// returned).
 struct SignerContext {
   /// Worker index in [0, worker_count); worker_count for the joiner
-  /// context a Join caller signs on.
+  /// context a Run caller signs on.
   std::size_t index = 0;
 
   /// Accrues measured signing time onto this worker's simulated clock,
@@ -82,31 +82,11 @@ struct SignerContext {
 
 /// Work-stealing signer pool. All public methods are safe to call from
 /// any thread except set_observability, which must precede the first
-/// SubmitBatch.
+/// Run.
 class SignerPool {
  public:
   /// One unit of issue work: item k of its batch, run on some worker.
   using Job = std::function<void(SignerContext& ctx, std::size_t k)>;
-
- private:
-  struct Batch;  // completion state shared by a ticket and its items
-
- public:
-  /// Completion handle for one SubmitBatch call. Copyable; all copies
-  /// refer to the same batch.
-  class Ticket {
-   public:
-    Ticket() = default;
-    /// Blocks until every item of the batch has executed. Establishes
-    /// happens-before with each item's effects, so per-k results are
-    /// safe to read afterwards without further synchronization.
-    void Wait();
-
-   private:
-    friend class SignerPool;
-    explicit Ticket(std::shared_ptr<Batch> batch) : batch_(std::move(batch)) {}
-    std::shared_ptr<Batch> batch_;
-  };
 
   /// Spawns \p worker_count workers (clamped to at least 1).
   explicit SignerPool(std::size_t worker_count);
@@ -117,45 +97,40 @@ class SignerPool {
 
   std::size_t worker_count() const { return workers_.size(); }
 
-  /// Deals k = 0..count-1 to the per-worker deques (k mod W) and wakes
-  /// the pool. Returns immediately; the work runs concurrently with the
-  /// caller. The batch's Job is shared by all its items.
-  Ticket SubmitBatch(std::size_t count, Job work);
-
-  /// Runs not-yet-started items of \p ticket's batch on the calling
+  /// Runs k = 0..count-1 of \p work: deals the items to the per-worker
+  /// deques (k mod W), signs the not-yet-started ones on the calling
   /// thread (joiner context, index worker_count()) and waits for the
-  /// rest: how BatchPipeline commits a batch. Completes even when every
-  /// worker is busy elsewhere. An empty ticket returns at once.
-  void Join(Ticket& ticket);
+  /// rest. Returns once every item has executed, which establishes
+  /// happens-before with each item's effects, so per-k results are safe
+  /// to read afterwards without further synchronization.
+  void Run(std::size_t count, const Job& work);
 
   /// Total successful steals across all workers (relaxed; exact at
   /// quiesce).
   std::uint64_t Steals() const;
 
-  /// Worker i's accrued simulated signing clock (relaxed; exact after
-  /// Ticket::Wait on everything outstanding).
+  /// Worker i's accrued simulated signing clock (relaxed; exact once
+  /// every Run call has returned).
   std::uint64_t WorkerSimClockUs(std::size_t i) const {
     return workers_[i]->ctx.sim_clock_us.load(std::memory_order_relaxed);
   }
 
-  /// Signing time accrued by Join callers on their joiner contexts
-  /// (relaxed; exact once those Join calls have returned). Worker
+  /// Signing time accrued by Run callers on their joiner contexts
+  /// (relaxed; exact once those Run calls have returned). Worker
   /// clocks plus this total is the pool's whole signing time.
   std::uint64_t JoinerSimClockUs() const {
     return joiner_sim_clock_us_.load(std::memory_order_relaxed);
   }
 
-  /// max over workers of WorkerSimClockUs — the pool's issue makespan on
-  /// the simulated timebase.
-  std::uint64_t MaxWorkerSimClockUs() const;
-
   /// Wires `<prefix>queue_depth` (gauge) and `<prefix>steals` (counter).
-  /// Call before the first SubmitBatch; pass nullptr to detach.
+  /// Call before the first Run; pass nullptr to detach.
   void set_observability(obs::Registry* registry, const std::string& prefix);
 
  private:
+  struct Batch;  // completion state of one Run call, on its stack frame
+
   struct Item {
-    std::shared_ptr<Batch> batch;
+    Batch* batch = nullptr;
     std::size_t k = 0;
   };
 
@@ -183,7 +158,7 @@ class SignerPool {
   // and is incremented BEFORE the items are dealt, so a worker that
   // wakes early at worst spins through one empty scan while the dealer
   // finishes. Workers block on sleep_cv_ when pending_ == 0 and exit
-  // only when stop_ && pending_ == 0 — i.e. after draining everything.
+  // only when stop_ && pending_ == 0.
   std::mutex sleep_m_;
   std::condition_variable sleep_cv_;
   std::atomic<std::size_t> pending_{0};

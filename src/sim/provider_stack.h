@@ -34,14 +34,12 @@ struct ProviderStack {
 
   ProviderStack(const std::string& seed, std::size_t redeem_shards,
                 std::size_t key_bits = 512, std::size_t queue_capacity = 4096,
-                std::size_t signer_pool_size = 0,
-                std::size_t max_batches_in_flight = 4)
+                std::size_t signer_pool_size = 0)
       : rng(seed),
         ca(key_bits, &rng),
         ttp(key_bits, &rng),
         bank(key_bits, &rng),
-        cp(Config(redeem_shards, key_bits, queue_capacity, signer_pool_size,
-                  max_batches_in_flight),
+        cp(Config(redeem_shards, key_bits, queue_capacity, signer_pool_size),
            &rng, &clock, &bank, ca.PublicKey()),
         card("Pat", key_bits, &rng) {
     card.StoreIdentityCertificate(ca.Enrol("Pat", card.MasterKey()));
@@ -52,14 +50,12 @@ struct ProviderStack {
 
   static core::ContentProviderConfig Config(
       std::size_t redeem_shards, std::size_t key_bits,
-      std::size_t queue_capacity = 4096, std::size_t signer_pool_size = 0,
-      std::size_t max_batches_in_flight = 4) {
+      std::size_t queue_capacity = 4096, std::size_t signer_pool_size = 0) {
     core::ContentProviderConfig c;
     c.signing_key_bits = key_bits;
     c.redeem_shards = redeem_shards;
     c.redeem_queue_capacity = queue_capacity;
     c.signer_pool_size = signer_pool_size;
-    c.max_batches_in_flight = max_batches_in_flight;
     return c;
   }
 

@@ -2,8 +2,12 @@
 #define P2DRM_STORE_APPEND_LOG_H_
 
 /// \file append_log.h
-/// \brief Durable append-only record log with per-record CRC32 and a
+/// \brief Append-only record log with per-record CRC32 and a
 /// group-commit batch path.
+///
+/// Durability: an append returns once its bytes are handed to write(2);
+/// the log never calls fsync. A record therefore survives a crash of
+/// the process, but not an OS crash or power loss.
 ///
 /// The content provider journals every redeemed license id and every
 /// issued-license event here; on restart the spent set is rebuilt by

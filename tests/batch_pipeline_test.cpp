@@ -30,7 +30,6 @@
 #include "net/rpc.h"
 #include "obs/trace.h"
 #include "server/batch_pipeline.h"
-#include "server/signer_pool.h"
 #include "sim/provider_stack.h"
 
 namespace p2drm {
@@ -40,6 +39,30 @@ namespace {
 using Stack = sim::ProviderStack;
 
 // -- pipeline stage contract -------------------------------------------------
+
+// Replays \p tracer's begin/end events, failing on an end that does not
+// close the innermost open span; returns the span names in begin order.
+std::vector<std::string> NestedSpans(const obs::Tracer& tracer) {
+  std::string json;
+  bool first = true;
+  tracer.AppendChromeTraceEvents(&json, 0, "test", &first);
+  const std::regex event("\"name\":\"([^\"]+)\",\"ph\":\"([BE])\"");
+  std::vector<std::string> open, begun;
+  for (auto it = std::sregex_iterator(json.begin(), json.end(), event);
+       it != std::sregex_iterator(); ++it) {
+    const std::string name = (*it)[1];
+    if ((*it)[2] == "B") {
+      open.push_back(name);
+      begun.push_back(name);
+    } else if (open.empty() || open.back() != name) {
+      ADD_FAILURE() << "span " << name << " ends out of nesting order";
+    } else {
+      open.pop_back();
+    }
+  }
+  EXPECT_TRUE(open.empty());
+  return begun;
+}
 
 TEST(BatchPipelineStages, ShedsAtMutateOnlyAndSkipsShedItems) {
   server::BatchPipeline::Plan plan;
@@ -78,10 +101,16 @@ TEST(BatchPipelineStages, ShedsAtMutateOnlyAndSkipsShedItems) {
     final_status[i] = s;
   };
 
+  obs::Tracer tracer;
+  server::PipelineObs pobs;
+  pobs.tracer = &tracer;
   server::BatchPipeline pipeline(server::BatchPipeline::Config{});
-  pipeline.Submit(plan);
-  auto t = pipeline.Flush();
+  auto t = pipeline.Run(plan, &pobs);
 
+  // The three stage spans open and close in stage order.
+  EXPECT_EQ(NestedSpans(tracer),
+            (std::vector<std::string>{"pipeline.verify", "pipeline.mutate",
+                                      "pipeline.issue"}));
   // Fork draw, issue (no pool: the dispatch thread) and commit all saw
   // exactly the live items, in index order; the shed item touched none
   // of them.
@@ -110,61 +139,10 @@ TEST(BatchPipelineStages, OverloadedNeverProceedsEvenIfFlowSaysSo) {
     EXPECT_EQ(s, Status::kOverloaded);
   };
   server::BatchPipeline pipeline(server::BatchPipeline::Config{});
-  pipeline.Submit(plan);
-  auto t = pipeline.Flush();
+  auto t = pipeline.Run(plan);
   EXPECT_FALSE(issued);
   EXPECT_TRUE(rejected);
   EXPECT_EQ(t.shed, 1u);
-}
-
-// Replays \p tracer's begin/end events, failing on an end that does not
-// close the innermost open span; returns the span names in begin order.
-std::vector<std::string> NestedSpans(const obs::Tracer& tracer) {
-  std::string json;
-  bool first = true;
-  tracer.AppendChromeTraceEvents(&json, 0, "test", &first);
-  const std::regex event("\"name\":\"([^\"]+)\",\"ph\":\"([BE])\"");
-  std::vector<std::string> open, begun;
-  for (auto it = std::sregex_iterator(json.begin(), json.end(), event);
-       it != std::sregex_iterator(); ++it) {
-    const std::string name = (*it)[1];
-    if ((*it)[2] == "B") {
-      open.push_back(name);
-      begun.push_back(name);
-    } else if (open.empty() || open.back() != name) {
-      ADD_FAILURE() << "span " << name << " ends out of nesting order";
-    } else {
-      open.pop_back();
-    }
-  }
-  EXPECT_TRUE(open.empty());
-  return begun;
-}
-
-TEST(BatchPipelineStages, StageSpansNestWithSeveralBatchesInFlight) {
-  obs::Tracer tracer;
-  server::PipelineObs pobs;
-  pobs.tracer = &tracer;
-  server::SignerPool pool(2);
-  server::BatchPipeline::Config cfg;
-  cfg.pool = &pool;
-  cfg.max_batches_in_flight = 2;
-  server::BatchPipeline pipeline(cfg);
-  server::BatchPipeline::Plan plan;
-  plan.item_count = 4;
-  plan.issue = [](std::size_t, std::size_t, Status) {};
-
-  // Three streamed batches through a 2-batch window (the third Submit
-  // commits the first), then a synchronous one: Submit + Flush.
-  for (int b = 0; b < 3; ++b) pipeline.Submit(plan, &pobs);
-  pipeline.Flush();
-  pipeline.Submit(plan, &pobs);
-  pipeline.Flush();
-
-  const std::string v = "pipeline.verify", m = "pipeline.mutate",
-                    i = "pipeline.issue";
-  EXPECT_EQ(NestedSpans(tracer),
-            (std::vector<std::string>{v, m, v, m, i, v, m, i, i, v, m, i}));
 }
 
 // -- exchange batch ----------------------------------------------------------

@@ -44,8 +44,8 @@ TEST(IssuedBytesPin, RsaFdhSignaturesFromAFixedSeedKey) {
 TEST(IssuedBytesPin, RedeemBatchThroughAThreeWorkerSignerPool) {
   // 1024-bit stack keys, so license and transcript signing run 512-bit
   // CRT halves on the fixed width-8 kernels; the batch is dealt to the
-  // pool and committed through SignerPool::Join, where the calling thread
-  // signs alongside the three workers.
+  // pool through SignerPool::Run, where the calling thread signs
+  // alongside the three workers.
   sim::ProviderStack stack("issued-bytes-pin/redeem", /*redeem_shards=*/2,
                            /*key_bits=*/1024, /*queue_capacity=*/4096,
                            /*signer_pool_size=*/3);

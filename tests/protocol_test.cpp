@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/smartcard.h"
 #include "core/system.h"
+#include "crypto/blind_rsa.h"
 #include "crypto/drbg.h"
 #include "net/rpc.h"
 
@@ -80,6 +82,29 @@ TEST(ProtoMessages, PurchaseRoundTrip) {
   ASSERT_EQ(back.payment.size(), 2u);
   EXPECT_EQ(back.payment[0].denomination, 10u);
   EXPECT_EQ(back.buyer.escrow, req.buyer.escrow);
+}
+
+// A list whose u32 count claims 0xFFFFFFFF elements: the decoder must
+// reject it as malformed input, not size an allocation from it.
+std::vector<std::uint8_t> WithHostileCount(std::vector<std::uint8_t> bytes) {
+  // Both encodings below end in their (empty) list's count.
+  for (std::size_t i = bytes.size() - 4; i < bytes.size(); ++i) {
+    bytes[i] = 0xff;
+  }
+  return bytes;
+}
+
+TEST(ProtoMessages, HostileCountsThrowCodecError) {
+  PurchaseRequest req;
+  req.buyer.pseudonym_key = SomeKey();
+  req.content_id = 42;
+  std::vector<std::uint8_t> purchase = WithHostileCount(req.Encode());
+  net::ByteReader r(purchase);
+  EXPECT_THROW(PurchaseRequest::Decode(&r), net::CodecError);
+
+  EXPECT_THROW(CatalogResponse::Decode(WithHostileCount(
+                   CatalogResponse{}.Encode())),
+               net::CodecError);
 }
 
 TEST(ProtoMessages, RequestTagsAreDeclared) {
@@ -177,6 +202,64 @@ TEST_F(DispatchTest, TruncatedPayloadReturnsBadRequest) {
   env.payload = {0x00};  // far too short for a PurchaseRequest
   net::ResponseEnvelope resp = RawRoundTrip(P2drmSystem::kCpEndpoint, env);
   EXPECT_EQ(resp.status, Status::kBadRequest);
+}
+
+TEST_F(DispatchTest, HostilePurchaseCountFailsOnlyItsBatchItem) {
+  // An honest buyer: a CA-certified pseudonym and coins summing to the
+  // price, withdrawn from the bank.
+  rel::ContentId content = system_.cp().Publish(
+      "A", {1, 2, 3}, 30, rel::Rights::FullRetail());
+  SmartCard card("pat", 512, &rng_);
+  card.StoreIdentityCertificate(system_.ca().Enrol("pat", card.MasterKey()));
+  PseudonymRequest preq =
+      card.BeginPseudonym(system_.ca().PublicKey(), system_.ttp().EscrowKey());
+  bignum::BigInt psig =
+      system_.ca().SignPseudonymBlinded(card.CardId(), preq.blinding.blinded);
+  Pseudonym* buyer =
+      card.FinishPseudonym(std::move(preq), psig, system_.ca().PublicKey());
+  ASSERT_NE(buyer, nullptr);
+  system_.bank().OpenAccount("pat", 100);
+  PurchaseRequest honest;
+  honest.buyer = buyer->cert;
+  honest.content_id = content;
+  for (std::uint32_t d : PlanCoins(30)) {
+    Coin coin;
+    rng_.Fill(coin.serial.data(), coin.serial.size());
+    coin.denomination = d;
+    const crypto::RsaPublicKey& key = system_.bank().DenominationKey(d);
+    crypto::BlindingContext ctx =
+        crypto::BlindMessage(key, coin.CanonicalBytes(), &rng_);
+    bignum::BigInt blind_sig;
+    ASSERT_EQ(system_.bank().Withdraw("pat", d, ctx.blinded, &blind_sig),
+              Status::kOk);
+    coin.signature = crypto::Unblind(key, ctx, blind_sig);
+    honest.payment.push_back(coin);
+  }
+  PurchaseRequest empty = honest;
+  empty.payment.clear();
+
+  // One batch envelope: the honest purchase, then one whose coin count
+  // claims 0xFFFFFFFF coins.
+  net::ByteWriter body;
+  body.U32(2);
+  body.U8(static_cast<std::uint8_t>(Tag::kPurchase));
+  body.Blob(honest.Encode());
+  body.U8(static_cast<std::uint8_t>(Tag::kPurchase));
+  body.Blob(WithHostileCount(empty.Encode()));
+  net::RequestEnvelope env;
+  env.tag = net::kBatchTag;
+  env.payload = body.Take();
+  net::ResponseEnvelope resp = RawRoundTrip(P2drmSystem::kCpEndpoint, env);
+  ASSERT_EQ(resp.status, Status::kOk);
+
+  net::ByteReader r(resp.payload);
+  ASSERT_EQ(r.U32(), 2u);
+  EXPECT_EQ(static_cast<Status>(r.U8()), Status::kOk);
+  PurchaseResponse bought = PurchaseResponse::Decode(r.Blob());
+  EXPECT_EQ(bought.license.content_id, content);
+  EXPECT_EQ(static_cast<Status>(r.U8()), Status::kBadRequest);
+  r.Blob();
+  EXPECT_TRUE(r.AtEnd());
 }
 
 TEST_F(DispatchTest, VersionMismatchIsRejected) {

@@ -24,7 +24,8 @@ using crypto::HmacDrbg;
 
 /// Feeds len-bounded random buffers to a parser and requires it to either
 /// succeed or throw something derived from std::exception — never crash,
-/// never hang, never UB (run under sanitizers to strengthen).
+/// never hang, never UB (the CI asan-ubsan and tsan jobs run this file
+/// under sanitizers).
 template <typename Fn>
 void Hammer(const std::string& seed, Fn parse, int rounds = 300) {
   HmacDrbg rng("robustness-" + seed);
