@@ -6,17 +6,22 @@
 // home shard, really inserts into that shard's SpentSetShard, and accrues
 // a *measured* RSA-verify service time on the shard's simulated clock —
 // the same simulated-time methodology the transport's LatencyModel uses
-// for wire costs, so the reported throughput is hardware-independent and
-// meaningful on single-core CI (where wall-clock parallel speedup is
-// physically impossible). Arrivals are open-loop at 80% utilization per
-// shard, so throughput scales with the shard count and p99 shows the
-// queueing tail.
+// for wire costs. Arrivals are open-loop at 80% utilization per shard.
+// The `sim-throughput (model)` column and the 4-vs-1 gate are a model,
+// not a measurement: items divided by the slowest shard's simulated
+// clock, so they follow from the shard item counts and the calibrated
+// service time alone. The `wall` column is the measured rate.
 //
 // Part B — batch verification. Builds real licenses and pseudonym
 // certificates, then compares per-item verification (two full RSA
-// verifies per redemption) against BatchVerifier's screened same-key
-// check + certificate dedup + shared CRL pass. The headline number is
-// full RSA verifications: 1 + (distinct certs) instead of 2 * items.
+// verifies per redemption) against BatchVerifier's cached-context
+// same-key check + certificate dedup + shared CRL pass. The gate is the
+// count of full RSA verifications: exactly items + (distinct certs) —
+// one per license signature, one per distinct certificate — instead of
+// 2 * items. Both timings are reported, not gated: the naive path also
+// reuses thread-local contexts (Montgomery::CachedFor), and the batched
+// path also pays the verifier's DRBG draw (4 bytes per license) and the
+// certificate memo's hashing, so neither time is verification alone.
 //
 // Part C — backpressure. Blocks the workers, overfills a bounded queue,
 // and counts the kOverloaded sheds.
@@ -445,7 +450,7 @@ int main(int argc, char** argv) {
   for (std::size_t shards : {1u, 2u, 4u, 8u}) {
     ScalingResult r = RunScaling(shards, items, service_us);
     std::printf(
-        "shards=%zu  sim-throughput=%10.0f items/s  wall=%10.0f/s  "
+        "shards=%zu  sim-throughput (model)=%10.0f items/s  wall=%10.0f/s  "
         "p50=%7.1fus  p99=%8.1fus  shard-items=[%llu..%llu]\n",
         shards, r.sim_throughput, r.wall_throughput, r.p50_us, r.p99_us,
         static_cast<unsigned long long>(r.min_shard_items),
@@ -511,8 +516,8 @@ int main(int argc, char** argv) {
   double naive_s = SecondsSince(t0);
   std::uint64_t naive_verifies = 2 * verify_items;
 
-  // Batched: one screened group check, one verify per distinct cert,
-  // one shared CRL pass.
+  // Batched: one verify per license signature on the cached context, one
+  // verify per distinct cert, one shared CRL pass.
   server::BatchVerifier verifier;
   t0 = Clock::now();
   std::vector<bool> sig_ok =
@@ -556,12 +561,12 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (stats.full_verifies >= verify_items) {
+  if (stats.full_verifies != verify_items + distinct_certs) {
     std::fprintf(stderr,
-                 "FAIL: batched verification did not beat one op per item "
-                 "(%llu >= %zu)\n",
+                 "FAIL: batched verification ran %llu full verifies, not "
+                 "items + distinct certs = %zu\n",
                  static_cast<unsigned long long>(stats.full_verifies),
-                 verify_items);
+                 verify_items + distinct_certs);
     return 1;
   }
 

@@ -477,8 +477,8 @@ std::vector<ContentProvider::ExchangeResult> ContentProvider::ExchangeBatch(
   server::BatchPipeline::Plan plan;
   plan.item_count = items.size();
 
-  // Verify: one screened same-key verification covers every issuer
-  // signature (all licenses are ours), one shared pass answers the CRL
+  // Verify: every issuer signature (all licenses are ours) is checked
+  // once on our key's cached context, one shared pass answers the CRL
   // probes on the bound keys, and the per-item possession proofs reuse
   // the verifier's cached Montgomery contexts. Checks run in the exact
   // order ExchangeForAnonymous applies them, so per-item statuses match.
@@ -673,11 +673,10 @@ ContentProvider::RedeemAnonymousBatch(const std::vector<RedeemItem>& items) {
   plan.item_count = items.size();
 
   // Verify, amortized: every license in the batch is signed by our own
-  // key, so one screened same-key verification covers the whole group;
-  // each distinct pseudonym certificate is verified once; one shared
-  // pass answers the CRL probes. The RT-2 table counts the
-  // verifications actually performed, which is the whole point of the
-  // batch path.
+  // key, so the group shares that key's cached context and each license
+  // signature is checked once; each distinct pseudonym certificate is
+  // verified once; one shared pass answers the CRL probes. The RT-2
+  // table counts the verifications actually performed.
   plan.verify = [&] {
     server::BatchVerifierStats before = verifier_.stats();
     std::vector<std::vector<std::uint8_t>> msgs;

@@ -174,8 +174,8 @@ class ContentProvider {
   };
 
   /// Exchanges a whole batch through the shared server::BatchPipeline:
-  /// verify (ONE screened same-key verification covers every license
-  /// signature, cached-context possession checks, one shared CRL pass
+  /// verify (every license signature checked once on the provider key's
+  /// cached context, cached-context possession checks, one shared CRL pass
   /// over the bound keys), mutate (old-license retirement on each id's
   /// home shard — the backpressure point), issue (bearer-license
   /// signing on the signer pool, one id-tagged RNG fork per item
@@ -205,11 +205,11 @@ class ContentProvider {
     PseudonymCertificate taker;
   };
 
-  /// Redeems a whole batch with amortized server-side crypto: ONE
-  /// screened same-key verification covers every license signature, each
-  /// distinct pseudonym certificate is verified once, one shared pass
-  /// answers the CRL probes, and the spent-set updates run on each id's
-  /// home shard. Per-item results are index-aligned and match
+  /// Redeems a whole batch with amortized server-side crypto: every
+  /// license signature is checked once on the provider key's cached
+  /// context, each distinct pseudonym certificate is verified once, one
+  /// shared pass answers the CRL probes, and the spent-set updates run on
+  /// each id's home shard. Per-item results are index-aligned and match
   /// RedeemAnonymous item for item, with one addition: an item shed by a
   /// full shard queue returns Status::kOverloaded and leaves no trace in
   /// the spent set.

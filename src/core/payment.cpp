@@ -140,10 +140,9 @@ std::vector<Status> PaymentProvider::DepositBatch(
   server::BatchPipeline::Plan plan;
   plan.item_count = items.size();
 
-  // Verify: account/denomination lookups, then ONE screened same-key
-  // verification per denomination group — the key *is* the
-  // denomination, so a retail batch collapses to a handful of group
-  // checks on cached Montgomery contexts.
+  // Verify: account/denomination lookups, then one same-key group per
+  // denomination — the key *is* the denomination, so each coin is
+  // checked once on that key's cached Montgomery context.
   plan.verify = [&] {
     server::BatchVerifierStats before = verifier_.stats();
     std::map<std::uint32_t, std::vector<std::size_t>> by_denom;

@@ -102,10 +102,10 @@ class PaymentProvider {
   };
 
   /// Deposits a whole batch through the bank's server::BatchPipeline:
-  /// verify (ONE screened same-key verification per denomination group,
-  /// cached Montgomery contexts), mutate (serial inserts on each coin's
-  /// home shard — the backpressure point),
-  /// commit (account credits, serialized on the dispatch thread).
+  /// verify (one same-key group per denomination, each coin checked once
+  /// on the denomination key's cached Montgomery context), mutate (serial
+  /// inserts on each coin's home shard — the backpressure point), commit
+  /// (account credits, serialized on the dispatch thread).
   /// Per-item statuses are index-aligned and match Deposit() item for
   /// item; a duplicate serial — within the batch or across batches and
   /// single deposits — yields exactly one credit, every repeat a typed

@@ -53,8 +53,8 @@ void P2drmSystem::RegisterEndpoints() {
       [this](const proto::DepositRequest& req, proto::DepositResponse*) {
         return bank_->Deposit(req.coin, req.merchant_account);
       });
-  // Batch fast path for deposits: one screened verification per
-  // denomination group and sharded double-spend checks at the bank.
+  // Batch fast path for deposits: coins verified per denomination group
+  // on cached contexts and sharded double-spend checks at the bank.
   bank_service_.RegisterBatch<proto::DepositRequest>(
       [this](const std::vector<proto::DepositRequest>& reqs,
              std::vector<proto::DepositResponse>*) {
@@ -105,8 +105,8 @@ void P2drmSystem::RegisterEndpoints() {
         resp->anonymous_license = out.anonymous_license;
         return out.status;
       });
-  // Batch fast path for exchanges: one screened same-key pass over the
-  // issuer signatures, one shared CRL pass, shard-parallel bearer
+  // Batch fast path for exchanges: one same-key pass over the issuer
+  // signatures on a cached context, one shared CRL pass, shard-parallel bearer
   // issuance (server/ subsystem). Wire format unchanged.
   cp_service_.RegisterBatch<proto::ExchangeRequest>(
       [this](const std::vector<proto::ExchangeRequest>& reqs,

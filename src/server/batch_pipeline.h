@@ -9,9 +9,9 @@
 /// callbacks instead of its own copy of the stage loop:
 ///
 ///   1. **verify** — amortized, read-only classification on the dispatch
-///      thread (screened same-key signature checks, memoized certificate
-///      checks, shared CRL pass). Returns the surviving item indices;
-///      the flow records rejection statuses itself.
+///      thread (same-key signature checks on a cached context, memoized
+///      certificate checks, shared CRL pass). Returns the surviving item
+///      indices; the flow records rejection statuses itself.
 ///   2. **mutate** — the flow's serialized state change (spent-set
 ///      inserts on each id's home shard, coin deposits at the bank).
 ///      This stage is the ONLY backpressure point: an item whose shard

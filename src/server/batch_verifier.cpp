@@ -61,89 +61,37 @@ std::vector<bool> BatchVerifier::VerifySameKeyBatch(
   }
   if (n == 0 || sigs.size() != n) return valid;
 
-  const Montgomery& mont = ContextFor(pub);
-
-  // Structural pre-screen (cheap, no exponentiation): wrong-width or
-  // out-of-range signatures are invalid without touching the math.
-  std::vector<std::size_t> cand;
-  std::vector<BigInt> s_mont;   // signatures, Montgomery form
-  std::vector<BigInt> h_mont;   // FDH images, Montgomery form
-  cand.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (sigs[i].size() != pub.ModulusBytes()) continue;
-    BigInt s = BigInt::FromBytes(sigs[i]);
-    if (s.Compare(pub.n) >= 0) continue;
-    cand.push_back(i);
-    s_mont.push_back(mont.ToMont(s));
-    h_mont.push_back(mont.ToMont(crypto::FdhHash(msgs[i], pub)));
-  }
-  if (cand.empty()) return valid;
-
-  if (cand.size() == 1) {
-    bool ok = mont.PowMod(mont.FromMont(s_mont[0]), pub.e) ==
-              mont.FromMont(h_mont[0]);
-    valid[cand[0]] = ok;
-    std::lock_guard<std::mutex> lock(m_);
-    stats_.full_verifies += 1;
-    return valid;
-  }
-
-  // Small-exponents screen: accept the whole group iff
-  //   (Π s_i^{r_i})^e ≡ Π H(m_i)^{r_i}   (mod n)
-  // for fresh secret 32-bit exponents r_i. A cheating set of signatures
-  // passes with probability <= 2^-32 (Bellare–Garay–Rabin). Both
-  // products are computed by Straus interleaving: 32 shared squarings
-  // for the whole group plus one multiply per set exponent bit. The
-  // group then costs one full verification instead of one per item (the
-  // count bench_server_scaling Part B gates); in time the products cost
-  // more than k per-item verifies at e = 65537 (see batch_verifier.h).
-  std::vector<std::uint32_t> r(cand.size());
-  for (auto& ri : r) {
-    std::uint8_t buf[4];
-    rng->Fill(buf, sizeof(buf));
-    ri = (static_cast<std::uint32_t>(buf[0]) << 24) |
-         (static_cast<std::uint32_t>(buf[1]) << 16) |
-         (static_cast<std::uint32_t>(buf[2]) << 8) |
-         static_cast<std::uint32_t>(buf[3]);
-    if (ri == 0) ri = 1;  // a zero exponent would drop the item entirely
-  }
-
-  BigInt acc_s = mont.ToMont(BigInt(1));
-  BigInt acc_h = mont.ToMont(BigInt(1));
-  for (int bit = 31; bit >= 0; --bit) {
-    acc_s = mont.MulMont(acc_s, acc_s);
-    acc_h = mont.MulMont(acc_h, acc_h);
-    for (std::size_t j = 0; j < cand.size(); ++j) {
-      if ((r[j] >> bit) & 1u) {
-        acc_s = mont.MulMont(acc_s, s_mont[j]);
-        acc_h = mont.MulMont(acc_h, h_mont[j]);
-      }
+  // Structural pre-screen (no exponentiation): only signatures of the
+  // modulus width with s < n are candidates.
+  std::size_t candidates = 0;
+  for (const auto& sig : sigs) {
+    if (sig.size() == pub.ModulusBytes() &&
+        BigInt::FromBytes(sig).Compare(pub.n) < 0) {
+      ++candidates;
     }
   }
-  bool screen_ok = mont.PowMod(mont.FromMont(acc_s), pub.e) ==
-                   mont.FromMont(acc_h);
-  {
-    std::lock_guard<std::mutex> lock(m_);
-    stats_.screened_groups += 1;
-    stats_.full_verifies += 1;
-  }
-  if (screen_ok) {
-    for (std::size_t i : cand) valid[i] = true;
-    return valid;
+  if (candidates == 0) return valid;
+
+  // Unused draw that keeps the provider's DRBG stream (see the header).
+  // One 4-byte Fill per candidate, not one 4k-byte Fill: HmacDrbg
+  // updates its state after every call.
+  if (candidates >= 2) {
+    for (std::size_t k = 0; k < candidates; ++k) {
+      std::uint8_t buf[4];
+      rng->Fill(buf, sizeof(buf));
+    }
   }
 
-  // Screen failed: at least one signature is bad. Fall back to per-item
-  // verification so the good items still go through and the bad ones are
-  // identified — soundness never depends on the screen accepting.
-  std::uint64_t fallback_verifies = 0;
-  for (std::size_t j = 0; j < cand.size(); ++j) {
-    valid[cand[j]] = mont.PowMod(mont.FromMont(s_mont[j]), pub.e) ==
-                     mont.FromMont(h_mont[j]);
-    ++fallback_verifies;
+  const Montgomery& mont = ContextFor(pub);
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    valid[i] = VerifyFdhWith(mont, pub, msgs[i], sigs[i]);
+    if (valid[i]) ++accepted;
   }
   std::lock_guard<std::mutex> lock(m_);
-  stats_.screen_failures += 1;
-  stats_.full_verifies += fallback_verifies;
+  stats_.full_verifies += candidates;
+  stats_.screened_groups += 1;
+  if (accepted < candidates) stats_.screen_failures += 1;
   return valid;
 }
 

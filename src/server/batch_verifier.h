@@ -5,30 +5,21 @@
 /// \brief Amortized server-side crypto for batched redemptions.
 ///
 /// A naive batch of k redemptions costs 2k full RSA-FDH verifications
-/// (license signature + pseudonym certificate per item) plus 2k
-/// Montgomery context setups, because crypto::RsaVerifyFdh rebuilds the
-/// context on every call. This verifier amortizes all three server-side
-/// costs:
+/// (license signature + pseudonym certificate per item), each looking
+/// its Montgomery context up in a small per-thread cache
+/// (Montgomery::CachedFor). This verifier removes the work that is
+/// repeated and checks each signature that remains exactly once:
 ///
-///  * Montgomery context reuse — one context per modulus, cached for the
-///    verifier's lifetime and shared across items and batches.
-///  * Grouped same-key verification — all licenses in a batch are signed
-///    by the provider's own key, so the whole group is checked with ONE
-///    full-width verification: the Bellare–Garay–Rabin small-exponents
-///    screen, Π s_i^{r_i} raised to e against Π H(m_i)^{r_i}, with the
-///    two products computed by Straus interleaving so the squarings are
-///    shared across the batch. A failed screen falls back to per-item
-///    verification to identify the bad items, so acceptance is always
-///    sound per item; fresh random 32-bit exponents bound the screen's
-///    cheat probability by 2^-32 per batch. What the screen buys is the
-///    count — one full verification per group instead of one per item,
-///    which bench_server_scaling Part B gates — not time: at e = 65537
-///    its products (boxed MulMont) cost more than per-item verifies on
-///    the cached context. 32 signatures, 2048-bit, 4-vCPU Xeon VM: the
-///    screen takes 2.9–3.2 ms and 32 per-item verifies 2.6–2.9 ms on the
-///    portable kernels; where PowMod runs on the IFMA kernel
-///    (docs/bignum.md) the screen takes 3.0–3.1 ms and 32 per-item
-///    verifies 0.42–0.45 ms.
+///  * Montgomery context reuse — one context per modulus, owned by the
+///    verifier for its lifetime and shared across items and batches.
+///  * Same-key license groups — all licenses in a batch are signed by the
+///    provider's own key, so the group shares one cached context and
+///    each well-formed signature costs one s^e mod n (16 squarings and
+///    1 multiply at e = 65537, on the IFMA kernel where the CPU has it,
+///    docs/bignum.md). A batch screen with random small exponents
+///    (Bellare–Garay–Rabin) cannot beat that at e = 65537: with 32-bit
+///    exponents it needs about 2·32 + 32·k + 17 multiplies for k
+///    signatures against 17·k.
 ///  * Pseudonym-certificate memoization — certificates are immutable, so
 ///    each distinct certificate is verified once (keyed by digest) and
 ///    repeats within and across batches are cache hits.
@@ -58,13 +49,15 @@ namespace p2drm {
 namespace server {
 
 /// Amortization counters. `full_verifies` is the number of full-width
-/// RSA verification operations actually performed — the quantity the
-/// RT-2 cost table and the server-scaling bench compare against `items`.
+/// RSA verification exponentiations actually performed — the quantity
+/// the RT-2 cost table and the server-scaling bench compare against
+/// `items`. The same-key group counters keep their names (the wall-clock
+/// ledger reads them) from when a group was checked by one screen.
 struct BatchVerifierStats {
   std::uint64_t items = 0;            ///< signature checks requested
-  std::uint64_t full_verifies = 0;    ///< full RSA verifications performed
-  std::uint64_t screened_groups = 0;  ///< same-key groups screened in one op
-  std::uint64_t screen_failures = 0;  ///< screens that fell back to per-item
+  std::uint64_t full_verifies = 0;    ///< one per exponentiation
+  std::uint64_t screened_groups = 0;  ///< same-key groups checked
+  std::uint64_t screen_failures = 0;  ///< groups with a rejected candidate
   std::uint64_t cert_cache_hits = 0;  ///< pseudonym certs answered from cache
   std::uint64_t crl_probe_hits = 0;   ///< CRL probes answered within the pass
 
@@ -99,11 +92,17 @@ class BatchVerifier {
                  const std::vector<std::uint8_t>& msg,
                  const std::vector<std::uint8_t>& sig);
 
-  /// Verifies k (message, signature) pairs under ONE public key with the
-  /// small-exponents screen (one full verification for the whole group
-  /// when all signatures are genuine). \p msgs and \p sigs are aligned;
-  /// the result is per-item validity. \p rng supplies the screen's
-  /// random exponents and must not be null.
+  /// Verifies k (message, signature) pairs under ONE public key on its
+  /// cached context. \p msgs and \p sigs are aligned; the result is
+  /// per-item validity. A candidate is a signature of the modulus width
+  /// with s < n; each costs one full verification, and the rest are
+  /// rejected without one. A group with at least one candidate counts one
+  /// `screened_groups`, and one `screen_failures` if any candidate is
+  /// rejected. With two or more candidates, \p rng gives one 4-byte Fill
+  /// per candidate whose bytes are unused: the draw the group screen made
+  /// for its exponents, kept so that a provider's DRBG stream, its later
+  /// license ids and its issued bytes do not depend on how licenses are
+  /// verified. \p rng must not be null.
   std::vector<bool> VerifySameKeyBatch(
       const crypto::RsaPublicKey& pub,
       const std::vector<std::vector<std::uint8_t>>& msgs,

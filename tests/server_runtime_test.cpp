@@ -524,7 +524,7 @@ class BatchVerifierTest : public ::testing::Test {
   crypto::RsaPublicKey pub_;
 };
 
-TEST_F(BatchVerifierTest, SameKeyBatchAcceptsGenuineWithOneVerify) {
+TEST_F(BatchVerifierTest, SameKeyBatchVerifiesEachItemOnce) {
   std::vector<std::vector<std::uint8_t>> msgs;
   std::vector<std::vector<std::uint8_t>> sigs;
   for (int i = 0; i < 16; ++i) {
@@ -536,7 +536,7 @@ TEST_F(BatchVerifierTest, SameKeyBatchAcceptsGenuineWithOneVerify) {
   for (bool v : ok) EXPECT_TRUE(v);
   BatchVerifierStats stats = verifier.stats();
   EXPECT_EQ(stats.items, 16u);
-  EXPECT_EQ(stats.full_verifies, 1u);  // one screen for the whole group
+  EXPECT_EQ(stats.full_verifies, 16u);  // one exponentiation per item
   EXPECT_EQ(stats.screened_groups, 1u);
   EXPECT_EQ(stats.screen_failures, 0u);
 }
@@ -557,7 +557,83 @@ TEST_F(BatchVerifierTest, SameKeyBatchIsolatesTamperedItems) {
     EXPECT_EQ(ok[i], i != 3 && i != 6) << "item " << i;
   }
   BatchVerifierStats stats = verifier.stats();
-  EXPECT_EQ(stats.screen_failures, 1u);  // screen tripped, fell back
+  EXPECT_EQ(stats.screen_failures, 1u);  // item 3 was rejected
+}
+
+TEST_F(BatchVerifierTest, SameKeyBatchRejectsExactlyTheForgedItems) {
+  constexpr std::size_t kItems = 32;
+  std::vector<std::vector<std::uint8_t>> msgs;
+  std::vector<std::vector<std::uint8_t>> sigs;
+  for (std::size_t i = 0; i < kItems; ++i) {
+    msgs.push_back(RandomMsg());
+    sigs.push_back(crypto::RsaSignFdh(key_, msgs.back()));
+  }
+  // A forged item keeps a well-formed signature over a different message,
+  // so it is rejected by its exponentiation, not by the width/range check.
+  auto forge = [](std::vector<std::uint8_t> msg) {
+    msg[0] ^= 0x01;
+    return msg;
+  };
+  for (bool all_forged : {false, true}) {
+    SCOPED_TRACE(all_forged ? "every item forged" : "last item forged");
+    std::vector<std::vector<std::uint8_t>> presented = msgs;
+    for (std::size_t i = 0; i < kItems; ++i) {
+      if (all_forged || i == kItems - 1) presented[i] = forge(msgs[i]);
+    }
+    BatchVerifier verifier;
+    std::vector<bool> ok =
+        verifier.VerifySameKeyBatch(pub_, presented, sigs, &rng_);
+    ASSERT_EQ(ok.size(), kItems);
+    for (std::size_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(ok[i], !all_forged && i != kItems - 1) << "item " << i;
+    }
+    BatchVerifierStats stats = verifier.stats();
+    EXPECT_EQ(stats.full_verifies, kItems);
+    EXPECT_EQ(stats.screened_groups, 1u);
+    EXPECT_EQ(stats.screen_failures, 1u);
+  }
+}
+
+TEST_F(BatchVerifierTest, SameKeyBatchDrawsFourBytesPerCandidate) {
+  // The verifier's draw is pinned against a twin DRBG: groups with two or
+  // more candidates make one 4-byte Fill per candidate, other groups none.
+  // s = n has the modulus width but fails the range check, so it is never
+  // a candidate and draws nothing.
+  const std::vector<std::uint8_t> out_of_range = pub_.n.ToBytes();
+  ASSERT_EQ(out_of_range.size(), pub_.ModulusBytes());
+
+  crypto::HmacDrbg drbg("draw-test");
+  crypto::HmacDrbg twin("draw-test");
+  BatchVerifier verifier;
+  std::size_t expected_fills = 0;
+  for (std::size_t candidates : {0u, 1u, 2u, 32u}) {
+    SCOPED_TRACE(candidates);
+    std::vector<std::vector<std::uint8_t>> msgs;
+    std::vector<std::vector<std::uint8_t>> sigs;
+    for (std::size_t i = 0; i < candidates; ++i) {
+      msgs.push_back(RandomMsg());
+      sigs.push_back(crypto::RsaSignFdh(key_, msgs.back()));
+    }
+    if (candidates != 1) {  // 0: a lone invalid signature; 2, 32: one extra
+      msgs.push_back(RandomMsg());
+      sigs.push_back(out_of_range);
+    }
+    std::vector<bool> ok = verifier.VerifySameKeyBatch(pub_, msgs, sigs, &drbg);
+    for (std::size_t i = 0; i < msgs.size(); ++i) {
+      EXPECT_EQ(ok[i], i < candidates) << "item " << i;
+    }
+    if (candidates >= 2) expected_fills += candidates;
+  }
+  EXPECT_EQ(verifier.stats().full_verifies, 35u);  // 1 + 2 + 32 candidates
+
+  for (std::size_t k = 0; k < expected_fills; ++k) {
+    std::uint8_t buf[4];
+    twin.Fill(buf, sizeof(buf));
+  }
+  std::vector<std::uint8_t> next(32), twin_next(32);
+  drbg.Fill(next.data(), next.size());
+  twin.Fill(twin_next.data(), twin_next.size());
+  EXPECT_EQ(next, twin_next);
 }
 
 TEST_F(BatchVerifierTest, PseudonymCertsVerifiedOncePerDistinctCert) {
@@ -665,9 +741,9 @@ TEST_F(ShardedProviderTest, BatchRedeemMatchesItemSemantics) {
   rel::License bearer_a = NewBearer(giver);
   rel::License bearer_b = NewBearer(giver);
 
-  // A genuine batch with a duplicate: the repeated pseudonym and the
-  // same-key screen make the whole batch cost 2 full verifications (one
-  // screened group + one distinct cert) for 3 items.
+  // A genuine batch with a duplicate: the whole batch costs 4 full
+  // verifications, one per license signature plus one for the single
+  // distinct certificate (its repeats are cache hits).
   auto before = cp_.BatchVerifyStats();
   std::vector<core::ContentProvider::RedeemItem> items = {
       {bearer_a, taker->cert},
@@ -683,7 +759,7 @@ TEST_F(ShardedProviderTest, BatchRedeemMatchesItemSemantics) {
   EXPECT_FALSE(results[0].license.wrapped_content_key.empty());
 
   auto delta = cp_.BatchVerifyStats() - before;
-  EXPECT_LT(delta.full_verifies, items.size());
+  EXPECT_EQ(delta.full_verifies, 4u);
   EXPECT_GT(delta.cert_cache_hits, 0u);
   EXPECT_EQ(delta.screen_failures, 0u);
 
@@ -693,8 +769,8 @@ TEST_F(ShardedProviderTest, BatchRedeemMatchesItemSemantics) {
   ASSERT_EQ(evidence.size(), 1u);
   EXPECT_EQ(evidence[0].first.license_id, bearer_a.id);
 
-  // A tampered license in a later batch fails alone — the screen trips,
-  // falls back per item, and the honest item still reports correctly.
+  // A tampered license in a later batch fails alone, and the honest item
+  // still reports correctly.
   rel::License forged = bearer_b;
   forged.rights.play_count = 7;  // breaks the issuer signature
   auto mixed = cp_.RedeemAnonymousBatch(
