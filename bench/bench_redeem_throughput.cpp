@@ -1,11 +1,13 @@
-// RF-2: Redemption throughput versus spent-set size, per backend — plus
+// RF-2: Redemption throughput versus spent-set size, per container — plus
 // the RPC batching ablation.
 //
 // The double-redemption check is one membership test + one insert on the
-// provider's hot path. This bench shows the spent-set data structure is
-// never the bottleneck at realistic sizes with a hash set (the public-key
-// work dominates), while the linear-scan strawman collapses — the
-// structure ablation DESIGN.md calls out.
+// provider's hot path. The rows compare the production table
+// (store::FlatIdTable, docs/storage.md) with three bench-local baselines:
+// a std::unordered_set, a sorted vector and a linear-scan vector. The
+// spent set is never the bottleneck at realistic sizes with a hashed
+// container (the public-key work dominates), while the linear-scan
+// strawman collapses.
 //
 // The BM_Rpc* pair isolates the wire layer: the same 64 requests sent as
 // 64 envelopes versus one kBatch envelope, over a transport with a
@@ -14,20 +16,55 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <unordered_set>
+#include <vector>
+
 #include "gbench_json_main.h"
 
 #include "crypto/drbg.h"
 #include "net/rpc.h"
-#include "store/spent_set.h"
+#include "store/flat_table.h"
 
 namespace {
 
 using p2drm::rel::LicenseId;
-using p2drm::store::SpentSetShard;
-using p2drm::store::SpentSetBackend;
+using p2drm::store::FlatIdTable;
+
+// Bench-local baselines with the Insert/Contains pair of FlatIdTable.
+struct HashSetIds {
+  bool Insert(const LicenseId& id) { return set.insert(id).second; }
+  bool Contains(const LicenseId& id) const { return set.count(id) != 0; }
+  std::unordered_set<LicenseId> set;
+};
+
+struct SortedVectorIds {
+  bool Insert(const LicenseId& id) {
+    auto it = std::lower_bound(ids.begin(), ids.end(), id);
+    if (it != ids.end() && *it == id) return false;
+    ids.insert(it, id);
+    return true;
+  }
+  bool Contains(const LicenseId& id) const {
+    return std::binary_search(ids.begin(), ids.end(), id);
+  }
+  std::vector<LicenseId> ids;  // kept ordered
+};
+
+struct LinearScanIds {
+  bool Insert(const LicenseId& id) {
+    if (Contains(id)) return false;
+    ids.push_back(id);
+    return true;
+  }
+  bool Contains(const LicenseId& id) const {
+    return std::find(ids.begin(), ids.end(), id) != ids.end();
+  }
+  std::vector<LicenseId> ids;  // insertion order
+};
 
 // Big-endian counter ids: ascending n is ascending lexicographically, so
-// preloading the sorted-vector backend stays append-only (O(1) amortized)
+// preloading the sorted vector stays append-only (O(1) amortized)
 // instead of degenerating into O(n^2) mid-vector inserts.
 LicenseId MakeId(std::uint64_t n) {
   LicenseId id;
@@ -41,13 +78,14 @@ LicenseId MakeId(std::uint64_t n) {
   return id;
 }
 
-void FillSet(SpentSetShard* set, std::size_t n) {
+template <class Set>
+void FillSet(Set* set, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) set->Insert(MakeId(i));
 }
 
-template <SpentSetBackend kBackend>
+template <class Set>
 void BM_RedeemCheckAndInsert(benchmark::State& state) {
-  SpentSetShard set(kBackend);
+  Set set;
   std::size_t preload = static_cast<std::size_t>(state.range(0));
   FillSet(&set, preload);
   std::uint64_t next = preload;
@@ -60,17 +98,19 @@ void BM_RedeemCheckAndInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-BENCHMARK_TEMPLATE(BM_RedeemCheckAndInsert, SpentSetBackend::kHashSet)
+BENCHMARK_TEMPLATE(BM_RedeemCheckAndInsert, FlatIdTable)
     ->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
-BENCHMARK_TEMPLATE(BM_RedeemCheckAndInsert, SpentSetBackend::kSortedVector)
+BENCHMARK_TEMPLATE(BM_RedeemCheckAndInsert, HashSetIds)
+    ->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
+BENCHMARK_TEMPLATE(BM_RedeemCheckAndInsert, SortedVectorIds)
     ->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK_TEMPLATE(BM_RedeemCheckAndInsert, SpentSetBackend::kLinearScan)
+BENCHMARK_TEMPLATE(BM_RedeemCheckAndInsert, LinearScanIds)
     ->Arg(1000)->Arg(10000);
 
-template <SpentSetBackend kBackend>
+template <class Set>
 void BM_DoubleRedeemDetect(benchmark::State& state) {
   // All lookups hit (every id already spent): the fraud-detection path.
-  SpentSetShard set(kBackend);
+  Set set;
   std::size_t preload = static_cast<std::size_t>(state.range(0));
   FillSet(&set, preload);
   std::uint64_t i = 0;
@@ -82,11 +122,13 @@ void BM_DoubleRedeemDetect(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
-BENCHMARK_TEMPLATE(BM_DoubleRedeemDetect, SpentSetBackend::kHashSet)
+BENCHMARK_TEMPLATE(BM_DoubleRedeemDetect, FlatIdTable)
     ->Arg(10000)->Arg(1000000);
-BENCHMARK_TEMPLATE(BM_DoubleRedeemDetect, SpentSetBackend::kSortedVector)
+BENCHMARK_TEMPLATE(BM_DoubleRedeemDetect, HashSetIds)
     ->Arg(10000)->Arg(1000000);
-BENCHMARK_TEMPLATE(BM_DoubleRedeemDetect, SpentSetBackend::kLinearScan)
+BENCHMARK_TEMPLATE(BM_DoubleRedeemDetect, SortedVectorIds)
+    ->Arg(10000)->Arg(1000000);
+BENCHMARK_TEMPLATE(BM_DoubleRedeemDetect, LinearScanIds)
     ->Arg(10000);
 
 // -- RPC batching ablation ---------------------------------------------------
@@ -186,7 +228,7 @@ BENCHMARK(BM_RpcRedeemWireBatched)->Arg(64);
 }  // namespace
 
 P2DRM_GBENCH_JSON_MAIN("bench_redeem_throughput",
-                       cfg.Str("spent_set_backends", "hash,sorted,linear");
+                       cfg.Str("spent_set_backends", "flat,hash,sorted,linear");
                        cfg.Str("preload_sizes", "1000..1000000");
                        cfg.Num("rpc_batch_items", 64);
                        cfg.Str("wire_model", "WAN latency, simulated time");)

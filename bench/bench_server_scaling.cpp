@@ -3,7 +3,7 @@
 //
 // Part A — shard scaling. Drives >= 1M simulated redemptions through
 // server::ServerRuntime at 1/2/4/8 shards. Each item really routes to its
-// home shard, really inserts into that shard's SpentSetShard, and accrues
+// home shard, really inserts into that shard's spent-set table, and accrues
 // a *measured* RSA-verify service time on the shard's simulated clock —
 // the same simulated-time methodology the transport's LatencyModel uses
 // for wire costs. Arrivals are open-loop at 80% utilization per shard.
@@ -37,6 +37,12 @@
 // and reports the fastest, so a batch whose signers the OS stacked on
 // one core does not decide the gate: the 4-worker pool must beat the
 // 1-worker pool by >= 1.5x.
+//
+// Mutate stage — the journaled spend stage alone (SpendBatch probe +
+// insert + group-committed journal block, no crypto) at 4 shards. It
+// reports µs per item and fails only if a spend is rejected or lost; the
+// flat table's speed against a hash-set baseline is gated by
+// bench_storage (tools/check_storage_perf.py).
 //
 // Part E — exchange batch. Same methodology as Part D for
 // ContentProvider::ExchangeBatch at pool sizes 1/4: the bearer issuance
@@ -116,20 +122,16 @@ double CalibrateVerifyUs(const crypto::RsaPrivateKey& key,
   return us < 1.0 ? 1.0 : us;
 }
 
-/// Part D (mutate stage): wall-clock cost of the journaled spend stage
-/// alone — batch-routed SpendBatch traffic against a ServerRuntime with
-/// real journal segments, no crypto. `modern` selects the flat spent-set
-/// engine + group-committed journal blocks (docs/storage.md); off is the
-/// legacy unordered_set + write()-per-record baseline the storage engine
-/// replaced.
-double RunMutateStage(bool modern, std::size_t shards, std::size_t total,
+/// Mutate stage: wall-clock cost of the journaled spend stage alone —
+/// batch-routed SpendBatch traffic against a ServerRuntime with real
+/// journal segments (docs/storage.md), no crypto.
+double RunMutateStage(std::size_t shards, std::size_t total,
                       std::size_t chunk, const std::string& journal_prefix) {
   // Fresh journal family per run (the bench measures appending, not
   // replay); segments live in the build directory like the other benches'
   // scratch files and are removed again below.
   auto cleanup = [&journal_prefix, shards] {
     std::error_code ec;
-    std::filesystem::remove(journal_prefix, ec);
     for (std::size_t s = 0; s < shards; ++s) {
       std::filesystem::remove(
           server::ServerRuntime::SegmentPath(journal_prefix, s), ec);
@@ -139,9 +141,6 @@ double RunMutateStage(bool modern, std::size_t shards, std::size_t total,
   server::ServerRuntimeConfig cfg;
   cfg.shard_count = shards;
   cfg.queue_capacity = 1u << 16;
-  cfg.spent_backend = modern ? store::SpentSetBackend::kFlat
-                             : store::SpentSetBackend::kHashSet;
-  cfg.group_commit_journal = modern;
   cfg.journal_path_prefix = journal_prefix;
   double wall_s = 0;
   {
@@ -651,45 +650,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  // -- Part D (mutate stage): storage engine vs legacy ----------------------
-  // The spend stage in isolation, at 4 shards with real journal segments:
-  // flat table + group-committed blocks against the unordered_set +
-  // write()-per-record baseline it replaced (docs/storage.md). Both runs
-  // route identical traffic through identical SpendBatch chunks, so the
-  // ratio isolates the storage engine.
+  // -- Mutate stage ----------------------------------------------------------
+  // The spend stage in isolation, at 4 shards with real journal segments.
+  // Reported, not gated on speed: RunMutateStage exits nonzero if a spend
+  // is rejected or lost.
   {
     const std::size_t mutate_items = items < 400000 ? 80000 : 400000;
     const std::size_t mutate_chunk = items < 400000 ? 4096 : 8192;
     const std::size_t mutate_shards = 4;
     report.ConfigMetric("mutate.items", static_cast<double>(mutate_items));
     report.ConfigMetric("mutate.chunk", static_cast<double>(mutate_chunk));
-    report.ConfigNote("mutate.engines",
-                      "legacy=hash-set+per-record-append, "
-                      "modern=flat+group-commit");
-    const double legacy_us = RunMutateStage(
-        /*modern=*/false, mutate_shards, mutate_items, mutate_chunk,
-        "bench_scaling_mutate.journal");
-    const double modern_us = RunMutateStage(
-        /*modern=*/true, mutate_shards, mutate_items, mutate_chunk,
-        "bench_scaling_mutate.journal");
-    const double speedup = modern_us > 0 ? legacy_us / modern_us : 0;
+    const double us = RunMutateStage(mutate_shards, mutate_items,
+                                     mutate_chunk,
+                                     "bench_scaling_mutate.journal");
     std::printf(
         "\nmutate stage (%zu spends, %zu-id chunks, %zu shards, journaled)\n"
-        "  legacy (hash-set + per-record write)   %7.3f us/item\n"
-        "  flat + group-commit                    %7.3f us/item   %.2fx\n",
-        mutate_items, mutate_chunk, mutate_shards, legacy_us, modern_us,
-        speedup);
-    report.Metric("mutate.legacy_us_per_item", legacy_us);
-    report.Metric("mutate.flat_group_commit_us_per_item", modern_us);
-    report.Metric("mutate.speedup", speedup);
-    // The storage engine must carry its weight end to end, not just in
-    // the microbench: spend-stage throughput at 4 shards has to hold a
-    // clear margin over the legacy engine.
-    if (speedup < 1.5) {
-      std::fprintf(stderr, "FAIL: mutate-stage speedup %.2fx < 1.5x\n",
-                   speedup);
-      return 1;
-    }
+        "  flat + group-commit                    %7.3f us/item\n",
+        mutate_items, mutate_chunk, mutate_shards, us);
+    report.Metric("mutate.flat_group_commit_us_per_item", us);
   }
 
   // -- Part E: exchange batch -----------------------------------------------

@@ -5,15 +5,16 @@
 // kinds, across modulus sizes), certificates, coins — and the per-entry
 // cost of the provider's spent set and CRL. Regenerates the paper's
 // storage-cost accounting. The sweep section then drives the flat table
-// and the legacy hash-set backend through 1M/10M-entry insert/contains
-// workloads via the batch API; tools/check_storage_perf.py gates flat
-// contains throughput at >= 2x hash-set at 10M entries.
+// and a bench-local std::unordered_set baseline through 1M/10M-entry
+// insert/contains workloads via the batch API; tools/check_storage_perf.py
+// gates flat contains throughput at >= 2x hash-set at 10M entries.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/certificates.h"
@@ -25,7 +26,6 @@
 #include "crypto/drbg.h"
 #include "store/flat_table.h"
 #include "store/revocation_list.h"
-#include "store/spent_set.h"
 
 namespace {
 
@@ -58,14 +58,38 @@ rel::LicenseId SweepId(std::uint64_t tag, std::uint64_t i) {
   return id;
 }
 
-/// One backend x one table size: timed batch insert, contains-hit, and
+/// The hash-set baseline: std::unordered_set behind FlatIdTable's batch
+/// interface (scalar loops), with an honest node-based footprint.
+struct HashSetIds {
+  bool Insert(const rel::LicenseId& id) { return set.insert(id).second; }
+  void InsertBatch(const rel::LicenseId* ids, std::size_t count,
+                   std::uint8_t* fresh) {
+    for (std::size_t i = 0; i < count; ++i) fresh[i] = Insert(ids[i]) ? 1 : 0;
+  }
+  void ContainsBatch(const rel::LicenseId* ids, std::size_t count,
+                     std::uint8_t* hit) const {
+    for (std::size_t i = 0; i < count; ++i) hit[i] = set.count(ids[i]) ? 1 : 0;
+  }
+  std::size_t Size() const { return set.size(); }
+  /// Per node: the id plus the forward-list next pointer (libstdc++ does
+  /// not cache the hash code because std::hash<LicenseId> is noexcept),
+  /// plus the bucket array of head pointers, counted even when sparse.
+  std::size_t MemoryBytes() const {
+    const std::size_t node = sizeof(rel::LicenseId) + sizeof(void*);
+    return set.size() * node + set.bucket_count() * sizeof(void*);
+  }
+  std::unordered_set<rel::LicenseId> set;
+};
+
+/// One container x one table size: timed batch insert, contains-hit, and
 /// contains-miss passes (4096-id chunks, the shard hot path's shape).
-void SweepBackend(sim::BenchReport* report, store::SpentSetBackend backend,
+template <class Set>
+void SweepBackend(sim::BenchReport* report, const char* name,
                   std::size_t entries,
                   const std::vector<rel::LicenseId>& present,
                   const std::vector<rel::LicenseId>& absent) {
   constexpr std::size_t kChunk = 4096;
-  store::SpentSetShard set(backend);
+  Set set;
   std::vector<std::uint8_t> flags(kChunk);
   std::size_t bad = 0;
 
@@ -100,7 +124,6 @@ void SweepBackend(sim::BenchReport* report, store::SpentSetBackend backend,
   }
 
   const double m = static_cast<double>(entries) / 1e6;
-  const char* name = store::SpentSetBackendName(backend);
   const std::string key =
       "sweep." + std::to_string(entries) + "." + name + ".";
   const double insert_mops = m / insert_s;
@@ -188,9 +211,8 @@ int main(int argc, char** argv) {
 
   std::printf("\n-- provider-side per-entry costs --\n");
   {
-    store::SpentSetShard flat(store::SpentSetBackend::kFlat);
-    store::SpentSetShard hash(store::SpentSetBackend::kHashSet);
-    store::SpentSetShard vec(store::SpentSetBackend::kSortedVector);
+    store::FlatIdTable flat;
+    HashSetIds hash;
     for (std::uint64_t i = 0; i < 100000; ++i) {
       rel::LicenseId id;
       for (int b = 0; b < 8; ++b) {
@@ -199,21 +221,17 @@ int main(int argc, char** argv) {
       id.bytes[15] = static_cast<std::uint8_t>(i * 7);
       flat.Insert(id);
       hash.Insert(id);
-      vec.Insert(id);
     }
     std::printf("%-44s %8.1f B/entry\n", "spent set (flat, resident)",
                 static_cast<double>(flat.MemoryBytes()) / 100000.0);
     std::printf("%-44s %8.1f B/entry\n", "spent set (hash-set, resident)",
                 static_cast<double>(hash.MemoryBytes()) / 100000.0);
-    std::printf("%-44s %8.1f B/entry\n", "spent set (sorted-vector, resident)",
-                static_cast<double>(vec.MemoryBytes()) / 100000.0);
     report.Metric("spent_set.flat_bytes_per_entry",
                   static_cast<double>(flat.MemoryBytes()) / 100000.0);
     report.Metric("spent_set.hash_bytes_per_entry",
                   static_cast<double>(hash.MemoryBytes()) / 100000.0);
-    report.Metric("spent_set.sorted_vector_bytes_per_entry",
-                  static_cast<double>(vec.MemoryBytes()) / 100000.0);
-    Line("spent-set journal record", 16 + 8, "id + length/crc header");
+    Line("spent-set journal, per id", 16,
+         "+ 8 B length/crc per group-commit block");
   }
   {
     store::RevocationList crl(store::CrlStrategy::kBloomFronted, 100000);
@@ -247,12 +265,11 @@ int main(int argc, char** argv) {
         present[i] = SweepId(0x11, i);
         absent[i] = SweepId(0x22, i);
       }
-      // One backend alive at a time: at 10M entries each table is a few
-      // hundred MB, and the sweep compares speed, not coexistence.
-      for (store::SpentSetBackend backend :
-           {store::SpentSetBackend::kHashSet, store::SpentSetBackend::kFlat}) {
-        SweepBackend(&report, backend, entries, present, absent);
-      }
+      // One table alive at a time: at 10M entries each is a few hundred
+      // MB, and the sweep compares speed, not coexistence.
+      SweepBackend<HashSetIds>(&report, "hash-set", entries, present, absent);
+      SweepBackend<store::FlatIdTable>(&report, "flat", entries, present,
+                                       absent);
     }
   }
 

@@ -66,7 +66,6 @@ std::unique_ptr<server::ServerRuntime> ProviderCluster::MakeRuntime(
   server::ServerRuntimeConfig rc;
   rc.shard_count = config_.shards_per_replica;
   rc.queue_capacity = config_.queue_capacity;
-  rc.spent_backend = config_.spent_backend;
   if (!config_.journal_prefix.empty()) {
     rc.journal_path_prefix = ReplicaJournalPrefix(config_.journal_prefix, r);
   }
@@ -83,7 +82,6 @@ void ProviderCluster::RemoveJournalFamily(std::uint32_t r) const {
   const std::string prefix =
       ReplicaJournalPrefix(config_.journal_prefix, r);
   std::error_code ec;
-  std::filesystem::remove(prefix, ec);  // legacy unsharded journal
   // Segments are contiguous from 0, but a previous run may have used more
   // shards than this one — keep deleting past our own shard count until a
   // gap.

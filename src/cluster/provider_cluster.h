@@ -53,7 +53,6 @@
 #include "obs/trace.h"
 #include "rel/ids.h"
 #include "server/server_runtime.h"
-#include "store/spent_set.h"
 
 namespace p2drm {
 namespace cluster {
@@ -65,9 +64,9 @@ struct ClusterConfig {
   /// Per-replica ServerRuntime shards (the intra-replica axis).
   std::size_t shards_per_replica = 2;
   std::size_t queue_capacity = 4096;
-  store::SpentSetBackend spent_backend = store::SpentSetBackend::kFlat;
   /// Journal family base: replica k journals under `<prefix>.r<k>` (each
-  /// runtime then appends its own `.shard<j>`). Empty disables journaling
+  /// runtime then appends its own `.shard<j>`, and refuses to start if a
+  /// file exists at `<prefix>.r<k>` itself). Empty disables journaling
   /// — and with it, failover (CompleteFailover would have nothing to
   /// replay).
   std::string journal_prefix;

@@ -49,12 +49,10 @@ ContentProvider::ContentProvider(const ContentProviderConfig& config,
   GlobalOps().keygen += 1;
   if (bank_ != nullptr) bank_->OpenAccount(kMerchantAccount, 0);
   // The runtime owns the spent-set partitions and the per-shard journal
-  // segments; it also replays any legacy unsharded journal at the
-  // configured path. redeem_shards == 0 runs as one shard.
+  // segments. redeem_shards == 0 runs as one shard.
   server::ServerRuntimeConfig rt;
   rt.shard_count = config_.redeem_shards;
   rt.queue_capacity = config_.redeem_queue_capacity;
-  rt.spent_backend = config_.spent_backend;
   rt.journal_path_prefix = config_.spent_journal_path;
   runtime_ = std::make_unique<server::ServerRuntime>(rt);
   if (config_.signer_pool_size > 0) {

@@ -35,7 +35,6 @@
 #include "server/server_runtime.h"
 #include "server/signer_pool.h"
 #include "store/revocation_list.h"
-#include "store/spent_set.h"
 
 namespace p2drm {
 namespace core {
@@ -59,15 +58,13 @@ struct Offer {
 /// Content provider configuration.
 struct ContentProviderConfig {
   std::size_t signing_key_bits = 1024;
-  /// Spent-set storage engine; kFlat (docs/storage.md) unless a bench is
-  /// ablating against the legacy backends.
-  store::SpentSetBackend spent_backend = store::SpentSetBackend::kFlat;
   store::CrlStrategy crl_strategy = store::CrlStrategy::kBloomFronted;
   std::size_t expected_crl_entries = 1024;
   /// When non-empty, the shard-segment prefix of the spent-license
   /// journal: shard k journals its fresh spends to `<path>.shard<k>`, and
-  /// construction rebuilds the spent set from every segment. A legacy
-  /// unsharded journal at the path itself is replayed as well.
+  /// construction rebuilds the spent set from every segment. A file at
+  /// the path itself (a pre-sharding journal) makes construction throw
+  /// std::runtime_error rather than forget its spends.
   std::string spent_journal_path;
   /// Number of redemption shards: the server::ServerRuntime's shard
   /// workers own the spent-set partitions and journal segments. 0 runs

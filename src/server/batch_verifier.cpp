@@ -98,10 +98,16 @@ std::vector<bool> BatchVerifier::VerifySameKeyBatch(
 bool BatchVerifier::VerifyPseudonymCert(
     const crypto::RsaPublicKey& ca_key,
     const core::PseudonymCertificate& cert) {
-  std::pair<rel::KeyFingerprint, rel::KeyFingerprint> key{
-      ca_key.Fingerprint(), crypto::Sha256::Hash(cert.Serialize())};
+  const rel::KeyFingerprint cert_digest =
+      crypto::Sha256::Hash(cert.Serialize());
+  std::pair<rel::KeyFingerprint, rel::KeyFingerprint> key;
   {
     std::lock_guard<std::mutex> lock(m_);
+    if (!(ca_key == ca_key_)) {
+      ca_key_ = ca_key;
+      ca_fingerprint_ = ca_key.Fingerprint();
+    }
+    key = {ca_fingerprint_, cert_digest};
     auto it = cert_cache_.find(key);
     if (it != cert_cache_.end()) {
       stats_.cert_cache_hits += 1;

@@ -109,7 +109,11 @@ class BatchVerifier {
       const std::vector<std::vector<std::uint8_t>>& sigs,
       bignum::RandomSource* rng);
 
-  /// Pseudonym-certificate verification memoized by certificate digest.
+  /// Pseudonym-certificate verification memoized by (CA key, certificate
+  /// digest). The CA key's fingerprint is hashed once and reused while
+  /// calls keep presenting an equal key (a provider's CA key never
+  /// changes), so a memo hit costs one key compare and the certificate
+  /// digest.
   bool VerifyPseudonymCert(const crypto::RsaPublicKey& ca_key,
                            const core::PseudonymCertificate& cert);
 
@@ -139,6 +143,9 @@ class BatchVerifier {
   // Pseudonym-cert verdicts keyed by (ca-key fingerprint, cert digest).
   std::map<std::pair<rel::KeyFingerprint, rel::KeyFingerprint>, bool>
       cert_cache_;
+  // The last CA key seen and its fingerprint.
+  crypto::RsaPublicKey ca_key_;
+  rel::KeyFingerprint ca_fingerprint_{};
 };
 
 }  // namespace server

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 namespace p2drm {
@@ -32,13 +33,20 @@ ServerRuntime::ServerRuntime(const ServerRuntimeConfig& config)
   std::size_t n = router_.shard_count();
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto shard = std::make_unique<Shard>(config_.spent_backend);
+    auto shard = std::make_unique<Shard>();
     shard->ctx.index = i;
     shards_.push_back(std::move(shard));
   }
   // Replay before the workers exist: the constructor thread is the only
   // one touching shard state, so no synchronization is needed yet.
   if (!config_.journal_path_prefix.empty()) {
+    if (FileExists(config_.journal_path_prefix)) {
+      throw std::runtime_error(
+          "spent journal: a file exists at the bare prefix " +
+          config_.journal_path_prefix +
+          "; only <prefix>.shard<k> segments are replayed, so its spends "
+          "would be forgotten");
+    }
     ReplayJournals();
     for (std::size_t i = 0; i < n; ++i) {
       shards_[i]->journal = std::make_unique<store::AppendLog>(
@@ -69,10 +77,10 @@ ServerRuntime::JournalScanStats ServerRuntime::ForEachJournalRecord(
   JournalScanStats stats;
   auto deliver = [&stats, &fn](const std::vector<std::uint8_t>& record) {
     constexpr std::size_t kIdWidth = sizeof(rel::LicenseId::bytes);
-    // A license-id record is either one id (legacy per-record Append) or
-    // a group-committed block of N ids packed back to back (AppendMany,
-    // docs/storage.md). Either way `records` counts IDS, not blocks, so
-    // scan totals are independent of how the writer grouped its commits.
+    // A license-id record is a group-committed block of N >= 1 ids packed
+    // back to back (AppendMany, docs/storage.md). `records` counts IDS,
+    // not blocks, so scan totals are independent of how the writer
+    // grouped its commits.
     if (record.empty() || record.size() % kIdWidth != 0) return;
     for (std::size_t off = 0; off < record.size(); off += kIdWidth) {
       ++stats.records;
@@ -84,16 +92,9 @@ ServerRuntime::JournalScanStats ServerRuntime::ForEachJournalRecord(
       fn(id);
     }
   };
-  // Legacy unsharded journal first (migration from the single-threaded
-  // provider), then every shard segment any previous run wrote. Segments
-  // are contiguous from 0 (every run creates all of 0..N-1 at startup),
-  // so probing until the first missing file recovers arbitrary historic
-  // shard counts.
-  if (FileExists(prefix)) {
-    ++stats.segments;
-    auto r = store::AppendLog::ReplayWithStats(prefix, deliver);
-    if (r.torn_tail) ++stats.torn_tails;
-  }
+  // Segments are contiguous from 0 (every run creates all of 0..N-1 at
+  // startup), so probing until the first missing file recovers arbitrary
+  // historic shard counts.
   for (std::size_t i = 0; FileExists(SegmentPath(prefix, i)); ++i) {
     ++stats.segments;
     auto r = store::AppendLog::ReplayWithStats(SegmentPath(prefix, i), deliver);
@@ -103,12 +104,12 @@ ServerRuntime::JournalScanStats ServerRuntime::ForEachJournalRecord(
 }
 
 void ServerRuntime::ReplayJournals() {
-  // Idempotent by construction: SpentSetShard inserts are no-ops on ids
-  // already present, so overlapping legacy + sharded segments (or a
-  // segment replayed twice) rebuild the same set with the same memory
-  // footprint. Ids are staged into per-shard buffers and applied through
-  // InsertBatch so a multi-million-record replay rides the same
-  // prefetching probe loop as live traffic.
+  // Idempotent by construction: FlatIdTable inserts are no-ops on ids
+  // already present, so overlapping segments (or a segment replayed
+  // twice) rebuild the same set with the same memory footprint. Ids are
+  // staged into per-shard buffers and applied through InsertBatch so a
+  // multi-million-record replay rides the same prefetching probe loop as
+  // live traffic.
   constexpr std::size_t kFlushAt = 4096;
   std::vector<std::vector<rel::LicenseId>> pending(shards_.size());
   std::vector<std::uint8_t> fresh;
@@ -134,18 +135,8 @@ void ServerRuntime::JournalFreshIds(ShardContext& ctx,
     const {
   if (ctx.journal == nullptr) return;
   constexpr std::size_t kIdWidth = sizeof(rel::LicenseId::bytes);
-  if (!config_.group_commit_journal) {
-    // Legacy baseline: one record — and one write() — per fresh id.
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      if (fresh[i]) {
-        ctx.journal->Append(std::vector<std::uint8_t>(ids[i].bytes.begin(),
-                                                      ids[i].bytes.end()));
-      }
-    }
-    return;
-  }
-  // Group commit: pack the fresh ids into the shard's retained scratch
-  // arena and hand the whole batch to AppendMany as one CRC'd block.
+  // Pack the fresh ids into the shard's retained scratch arena and hand
+  // the whole group to AppendMany as one CRC'd block.
   auto& blob = ctx.journal_scratch;
   blob.clear();
   for (std::size_t i = 0; i < ids.size(); ++i) {

@@ -9,8 +9,8 @@
 /// update: a spent-set insert plus a journal append, today serialized on
 /// one thread. The runtime decomposes that state into N independent
 /// shards (ShardRouter: license-id hash → shard). Each shard owns
-///  * one store::SpentSetShard partition (no internal locking — the
-///    shard's single worker thread is the lock),
+///  * one store::FlatIdTable partition of the spent set (no internal
+///    locking — the shard's single worker thread is the lock),
 ///  * one redemption-journal segment (`<prefix>.shard<k>`),
 ///  * one bounded task queue with typed backpressure: when a queue is
 ///    full the submission is shed with core::Status::kOverloaded instead
@@ -22,10 +22,9 @@
 /// attempts wins.
 ///
 /// Storage hot path (docs/storage.md): a shard task probes its whole
-/// group through SpentSetShard::InsertBatch (flat-table group probes with
-/// next-item prefetch) and journals the batch's fresh ids as one
-/// group-committed AppendMany block — per-item allocation and the
-/// write()-per-record syscall are both gone from the spend stage.
+/// group through FlatIdTable::InsertBatch (pipelined group probes) and
+/// journals the group's fresh ids as one group-committed AppendMany
+/// block: one write() per shard task, no per-item allocation.
 ///
 /// Thread-safety contract: Submit/TrySubmit/SpendBatch/SpendOne may be
 /// called from any number of threads concurrently. The aggregate
@@ -47,7 +46,7 @@
 #include "rel/ids.h"
 #include "server/shard_router.h"
 #include "store/append_log.h"
-#include "store/spent_set.h"
+#include "store/flat_table.h"
 
 namespace p2drm {
 namespace server {
@@ -81,31 +80,25 @@ struct ServerRuntimeConfig {
   /// kOverloaded. An oversize submission to an empty queue is accepted so
   /// a single batch larger than the bound cannot starve forever.
   std::size_t queue_capacity = 4096;
-  store::SpentSetBackend spent_backend = store::SpentSetBackend::kFlat;
   /// When non-empty, shard k journals fresh spends to
   /// `<prefix>.shard<k>`, and construction replays every existing
-  /// segment — plus a legacy unsharded journal at `<prefix>` itself —
-  /// routing each id to its current home shard (so the shard count may
-  /// change between runs).
+  /// segment, routing each id to its current home shard (so the shard
+  /// count may change between runs). A shard task's fresh spends are
+  /// journaled as ONE CRC'd group-commit block (AppendLog::AppendMany,
+  /// docs/storage.md), handed to write(2) with no fsync before
+  /// SpendBatch returns them as kOk: they survive a process crash, not
+  /// an OS crash or power loss. Construction throws std::runtime_error
+  /// if a file exists at `<prefix>` itself: that is where pre-sharding
+  /// providers kept their journal, and replaying only the segments would
+  /// silently forget its spends.
   std::string journal_path_prefix;
-  /// Group commit (docs/storage.md): a shard task's fresh spends are
-  /// gathered into the shard's retained scratch buffer and journaled as
-  /// ONE CRC'd block via AppendLog::AppendMany — one write() per shard
-  /// group instead of one per record. Off = the legacy per-record Append
-  /// path (kept as the bench_server_scaling mutate-stage baseline).
-  /// Either way a spend's journal record has been handed to write(2),
-  /// with no fsync, before SpendBatch returns it as kOk: it survives a
-  /// process crash, not an OS crash or power loss.
-  bool group_commit_journal = true;
 };
 
 /// What a shard task sees: the shard's own state, touched only from the
 /// shard's worker thread.
 struct ShardContext {
-  explicit ShardContext(store::SpentSetBackend backend) : spent(backend) {}
-
   std::size_t index = 0;
-  store::SpentSetShard spent;
+  store::FlatIdTable spent;
   store::AppendLog* journal = nullptr;  ///< null when journaling is off
   std::uint64_t processed = 0;  ///< items completed on this shard
   /// Retained gather arena for group-committed journal blocks: fresh ids
@@ -125,6 +118,9 @@ class ServerRuntime {
   /// the shard context. Tasks must not call back into the runtime.
   using Task = std::function<void(ShardContext&)>;
 
+  /// Replays the journal segments, then starts the shard workers. Throws
+  /// std::runtime_error, before any worker starts, if a file exists at
+  /// the bare journal prefix (see ServerRuntimeConfig).
   explicit ServerRuntime(const ServerRuntimeConfig& config);
   ~ServerRuntime();
 
@@ -178,17 +174,18 @@ class ServerRuntime {
 
   /// What a full journal scan under one prefix saw.
   struct JournalScanStats {
-    std::size_t segments = 0;      ///< segment files found (legacy included)
+    std::size_t segments = 0;      ///< `<prefix>.shard<k>` files read
     std::uint64_t records = 0;     ///< intact license-id records delivered
     std::size_t torn_tails = 0;    ///< segments ending in a skipped torn tail
   };
 
   /// The export side of migration: streams every intact license-id record
-  /// under \p prefix — the legacy unsharded journal plus every contiguous
-  /// `<prefix>.shard<k>` segment — to \p fn (which may be null to count
-  /// only). Static: works on the journals of a runtime that no longer
-  /// exists, which is exactly the failover case. Torn tails (a crash
-  /// mid-append) are skipped per segment, not fatal.
+  /// of the contiguous `<prefix>.shard<k>` segments (k = 0, 1, … up to
+  /// the first missing one) to \p fn (which may be null to count only).
+  /// A file at `<prefix>` itself is not read. Static: works on the
+  /// journals of a runtime that no longer exists, which is exactly the
+  /// failover case. Torn tails (a crash mid-append) are skipped per
+  /// segment, not fatal.
   static JournalScanStats ForEachJournalRecord(
       const std::string& prefix,
       const std::function<void(const rel::LicenseId&)>& fn);
@@ -210,7 +207,7 @@ class ServerRuntime {
   /// `<prefix>queue_depth` gauge (+weight on accept, -weight on
   /// completion), a `<prefix>sheds` counter on every TrySubmit
   /// rejection, and a `<prefix>spent.bytes` gauge tracking the summed
-  /// SpentSetShard::MemoryBytes across shards (each worker publishes the
+  /// FlatIdTable::MemoryBytes across shards (each worker publishes the
   /// delta against its last report after a mutating task, so the gauge is
   /// exact at quiesce — RT-3 resident-footprint accounting in scenario
   /// reports). Call before traffic starts; the ids are read by the
@@ -219,8 +216,6 @@ class ServerRuntime {
 
  private:
   struct Shard {
-    explicit Shard(store::SpentSetBackend backend) : ctx(backend) {}
-
     mutable std::mutex m;
     std::condition_variable work_cv;        // queue became non-empty / stop
     std::condition_variable space_cv;       // queue has room again
@@ -238,9 +233,8 @@ class ServerRuntime {
 
   void WorkerLoop(Shard* shard);
   void ReplayJournals();
-  /// Journals the ids with fresh[i] != 0 from a shard task: one
-  /// group-committed AppendMany block (default) or per-record Appends
-  /// (legacy baseline). Runs on the shard's worker thread.
+  /// Journals the ids with fresh[i] != 0 from a shard task as one
+  /// group-committed AppendMany block. Runs on the shard's worker thread.
   void JournalFreshIds(ShardContext& ctx,
                        const std::vector<rel::LicenseId>& ids,
                        const std::vector<std::uint8_t>& fresh) const;

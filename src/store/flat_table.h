@@ -30,10 +30,10 @@
 /// (g, g+1, g+3, g+6, ...) which is a permutation of all groups when the
 /// group count is a power of two. The table rehashes at 7/8 load.
 ///
-/// `Prefetch(id)` issues software prefetches for the id's home control
-/// group and slot group; batch callers (SpentSetShard::ContainsBatch /
-/// InsertBatch) prefetch item i+1 while probing item i so the ~100 ns
-/// cache miss of a cold probe overlaps useful work instead of stalling
+/// This is the provider's one spent-set engine: each server::ServerRuntime
+/// shard owns one table and calls it directly. The batch calls
+/// (ContainsBatch / InsertBatch) pipeline their probes so the ~100 ns
+/// cache miss of a cold probe overlaps other probes instead of stalling
 /// the shard worker. See docs/storage.md.
 
 #include <cstddef>
@@ -52,8 +52,8 @@ namespace store {
 
 /// Open-addressing hash set of rel::LicenseId with 16-wide group probes.
 ///
-/// Concurrency contract: none. Like SpentSetShard (which owns one of
-/// these per shard), all calls must be serialized by the owner.
+/// Concurrency contract: none. All calls must be serialized by the owner
+/// (the runtime pins each shard's table to that shard's worker thread).
 class FlatIdTable {
  public:
   /// Control bytes scanned per probe step; one SSE2 register.
@@ -122,19 +122,6 @@ class FlatIdTable {
     }
   }
 
-  /// Issues software prefetches for \p id's home control group and slot
-  /// group — the single-item hint for callers outside the batch pipeline.
-  void Prefetch(const rel::LicenseId& id) const {
-    if (capacity_ == 0) return;
-    const std::uint64_t h = Mix(id);
-    const std::size_t group_mask = capacity_ / kGroupWidth - 1;
-    const std::size_t base = ((h >> 7) & group_mask) * kGroupWidth;
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(ctrl_.data() + base);
-    __builtin_prefetch(slots_.data() + base);
-#endif
-  }
-
   std::size_t Size() const { return size_; }
 
   /// Exact footprint of the backing arrays: one control byte plus one
@@ -144,8 +131,6 @@ class FlatIdTable {
     return ctrl_.capacity() * sizeof(std::uint8_t) +
            slots_.capacity() * sizeof(rel::LicenseId);
   }
-
-  std::size_t Capacity() const { return capacity_; }
 
  private:
   static constexpr std::uint8_t kEmpty = 0x80;

@@ -1,20 +1,9 @@
 #include "store/revocation_list.h"
 
-#include <algorithm>
-
 #include "net/codec.h"
 
 namespace p2drm {
 namespace store {
-
-const char* CrlStrategyName(CrlStrategy s) {
-  switch (s) {
-    case CrlStrategy::kSortedSet: return "sorted-set";
-    case CrlStrategy::kBloomFronted: return "bloom-fronted";
-    case CrlStrategy::kLinearScan: return "linear-scan";
-  }
-  return "unknown";
-}
 
 RevocationList::RevocationList(CrlStrategy strategy,
                                std::size_t expected_entries)
@@ -25,45 +14,26 @@ RevocationList::RevocationList(CrlStrategy strategy,
 }
 
 void RevocationList::Revoke(const rel::DeviceId& id) {
-  if (strategy_ == CrlStrategy::kLinearScan) {
-    if (std::find(linear_.begin(), linear_.end(), id) != linear_.end()) return;
-    linear_.push_back(id);
-    ++version_;
-    return;
-  }
   if (!members_.insert(id).second) return;
   if (bloom_) bloom_->Insert(id.data(), id.size());
   ++version_;
 }
 
 bool RevocationList::IsRevoked(const rel::DeviceId& id) const {
-  switch (strategy_) {
-    case CrlStrategy::kSortedSet:
-      return members_.count(id) != 0;
-    case CrlStrategy::kBloomFronted:
-      if (!bloom_->MayContain(id.data(), id.size())) return false;
-      return members_.count(id) != 0;
-    case CrlStrategy::kLinearScan:
-      return std::find(linear_.begin(), linear_.end(), id) != linear_.end();
-  }
-  return false;
+  // bloom_ exists only under kBloomFronted: its negative answer is final.
+  if (bloom_ && !bloom_->MayContain(id.data(), id.size())) return false;
+  return members_.count(id) != 0;
 }
 
 std::vector<rel::DeviceId> RevocationList::Entries() const {
-  if (strategy_ == CrlStrategy::kLinearScan) return linear_;
   return std::vector<rel::DeviceId>(members_.begin(), members_.end());
 }
 
 std::vector<std::uint8_t> RevocationList::Serialize() const {
   net::ByteWriter w;
   w.U64(version_);
-  if (strategy_ == CrlStrategy::kLinearScan) {
-    w.U32(static_cast<std::uint32_t>(linear_.size()));
-    for (const auto& id : linear_) w.Fixed(id);
-  } else {
-    w.U32(static_cast<std::uint32_t>(members_.size()));
-    for (const auto& id : members_) w.Fixed(id);
-  }
+  w.U32(static_cast<std::uint32_t>(members_.size()));
+  for (const auto& id : members_) w.Fixed(id);
   return w.Take();
 }
 
@@ -84,13 +54,8 @@ RevocationList RevocationList::Deserialize(
 
 std::size_t RevocationList::MemoryBytes() const {
   constexpr std::size_t kIdBytes = sizeof(rel::DeviceId);
-  std::size_t base = 0;
-  if (strategy_ == CrlStrategy::kLinearScan) {
-    base = linear_.capacity() * kIdBytes;
-  } else {
-    // std::set node overhead: 3 pointers + color ≈ 32B on 64-bit.
-    base = members_.size() * (kIdBytes + 32);
-  }
+  // std::set node overhead: 3 pointers + color ≈ 32B on 64-bit.
+  std::size_t base = members_.size() * (kIdBytes + 32);
   if (bloom_) base += bloom_->SizeBytes();
   return base;
 }

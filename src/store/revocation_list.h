@@ -8,7 +8,8 @@
 /// Compliant devices must refuse to cooperate with revoked peers, and the
 /// content provider refuses purchases from revoked pseudonym issuers. The
 /// CRL is versioned so devices can sync deltas; membership checks are the
-/// subject of the RF-3 experiment (bloom-fronted vs sorted vs linear).
+/// subject of the RF-3 experiment (bloom-fronted vs sorted; the bench
+/// keeps a linear-scan strawman of its own).
 
 #include <cstdint>
 #include <memory>
@@ -25,10 +26,7 @@ namespace store {
 enum class CrlStrategy : std::uint8_t {
   kSortedSet = 0,       ///< std::set lookup only
   kBloomFronted = 1,    ///< Bloom filter negative cache, set on maybe
-  kLinearScan = 2,      ///< strawman
 };
-
-const char* CrlStrategyName(CrlStrategy s);
 
 /// Versioned revocation list over 32-byte device / key identifiers.
 class RevocationList {
@@ -45,10 +43,7 @@ class RevocationList {
   /// Monotonic version; devices use it to detect stale local copies.
   std::uint64_t Version() const { return version_; }
 
-  std::size_t Size() const {
-    return strategy_ == CrlStrategy::kLinearScan ? linear_.size()
-                                                 : members_.size();
-  }
+  std::size_t Size() const { return members_.size(); }
 
   /// Snapshot of all revoked identifiers (device CRL sync).
   std::vector<rel::DeviceId> Entries() const;
@@ -67,7 +62,6 @@ class RevocationList {
   CrlStrategy strategy_;
   std::uint64_t version_ = 0;
   std::set<rel::DeviceId> members_;
-  std::vector<rel::DeviceId> linear_;
   std::unique_ptr<BloomFilter> bloom_;
 };
 

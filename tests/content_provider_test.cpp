@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/certification_authority.h"
 #include "core/smartcard.h"
@@ -268,7 +269,7 @@ TEST_F(ContentProviderTest, SpentJournalSurvivesRestart) {
   std::string journal = testing::TempDir() + "cp_journal_test.log";
   // The journal lives in shard segments (<journal>.shard<k>). A segment
   // left behind by an earlier run would already hold this fixed-seed id,
-  // so every segment goes, not just the legacy file.
+  // so every segment goes, and so does a file at the bare path.
   auto cleanup = [&journal] {
     std::remove(journal.c_str());
     for (std::size_t k = 0; k < 8; ++k) {
@@ -304,18 +305,20 @@ TEST_F(ContentProviderTest, SpentJournalSurvivesRestart) {
   }
   cleanup();
 
-  // A journal written unsharded at the path itself, as providers without
-  // a shard runtime once did, is still recovered.
+  // A file at the path itself is where providers without a shard runtime
+  // kept their journal. Only shard segments are replayed, so construction
+  // refuses it instead of forgetting its spends.
   {
-    store::AppendLog legacy(journal);
-    legacy.Append(std::vector<std::uint8_t>(spent_id.bytes.begin(),
-                                            spent_id.bytes.end()));
+    store::AppendLog unsharded(journal);
+    unsharded.Append(std::vector<std::uint8_t>(spent_id.bytes.begin(),
+                                               spent_id.bytes.end()));
   }
   {
     ContentProviderConfig cfg = Config();
     cfg.spent_journal_path = journal;
-    ContentProvider cp(cfg, &rng_, &clock_, &bank_, ca_.PublicKey());
-    EXPECT_EQ(cp.SpentSetSize(), 1u);
+    EXPECT_THROW(
+        ContentProvider(cfg, &rng_, &clock_, &bank_, ca_.PublicKey()),
+        std::runtime_error);
   }
   cleanup();
 }

@@ -9,8 +9,10 @@
 #include <atomic>
 #include <cstdio>
 #include <future>
+#include <stdexcept>
 #include <thread>
 #include <unistd.h>
+#include <unordered_set>
 
 #include "core/certification_authority.h"
 #include "core/content_provider.h"
@@ -57,30 +59,6 @@ TEST(ShardRouterTest, SpreadsCounterIds) {
   for (std::size_t count : hist) {
     EXPECT_GT(count, 500u);  // no empty or starved shard
   }
-}
-
-// -- spent-set shard ---------------------------------------------------------
-
-TEST(SpentSetShardTest, InsertContainsAcrossBackends) {
-  for (auto backend :
-       {store::SpentSetBackend::kHashSet, store::SpentSetBackend::kSortedVector,
-        store::SpentSetBackend::kLinearScan, store::SpentSetBackend::kFlat}) {
-    store::SpentSetShard shard(backend);
-    EXPECT_TRUE(shard.Insert(MakeId(1)));
-    EXPECT_FALSE(shard.Insert(MakeId(1)));
-    EXPECT_TRUE(shard.Contains(MakeId(1)));
-    EXPECT_FALSE(shard.Contains(MakeId(2)));
-    EXPECT_EQ(shard.Size(), 1u);
-  }
-}
-
-TEST(SpentSetShardTest, HashMemoryCountsBucketArray) {
-  store::SpentSetShard shard(store::SpentSetBackend::kHashSet);
-  for (std::uint64_t n = 0; n < 1000; ++n) shard.Insert(MakeId(n));
-  // At least the payload plus one pointer per element (node link) and
-  // one pointer per bucket.
-  std::size_t floor = 1000 * (sizeof(rel::LicenseId) + sizeof(void*));
-  EXPECT_GT(shard.MemoryBytes(), floor);
 }
 
 // -- runtime: spend path -----------------------------------------------------
@@ -230,13 +208,14 @@ TEST(ServerRuntimeTest, DuplicateJournalRecordsReplayIdempotently) {
     clean_bytes = rt.SpentMemoryBytes();
     ASSERT_EQ(clean_size, 40u);
   }
-  // A botched migration leaves OVERLAPPING history: copy shard 0's
-  // segment into a legacy unsharded journal, duplicating its records.
+  // A botched migration leaves OVERLAPPING history: append shard 0's
+  // segment to shard 1's, duplicating its records.
   {
     std::FILE* src =
         std::fopen(ServerRuntime::SegmentPath(prefix, 0).c_str(), "rb");
     ASSERT_NE(src, nullptr);
-    std::FILE* dst = std::fopen(prefix.c_str(), "wb");
+    std::FILE* dst =
+        std::fopen(ServerRuntime::SegmentPath(prefix, 1).c_str(), "ab");
     ASSERT_NE(dst, nullptr);
     char buf[4096];
     std::size_t got;
@@ -319,75 +298,95 @@ TEST(ServerRuntimeTest, ImportSpentIsIdempotentAndJournalsFreshIdsOnce) {
   }
 }
 
-TEST(ServerRuntimeTest, FlatAndHashBackendsAgreeThroughRuntimeAndRestart) {
-  std::string prefix_flat = ::testing::TempDir() + "/srv_diff_flat";
-  std::string prefix_hash = ::testing::TempDir() + "/srv_diff_hash";
-  for (const std::string& p : {prefix_flat, prefix_hash}) {
-    std::remove(p.c_str());
+TEST(ServerRuntimeTest, MatchesReferenceSetThroughRuntimeAndRestart) {
+  std::string prefix = ::testing::TempDir() + "/srv_reference";
+  auto cleanup = [&prefix] {
     for (std::size_t i = 0; i < 8; ++i) {
-      std::remove(ServerRuntime::SegmentPath(p, i).c_str());
+      std::remove(ServerRuntime::SegmentPath(prefix, i).c_str());
     }
-  }
-
-  // Identical randomized traffic (duplicates, overlapping imports) through
-  // a flat+group-commit runtime and the legacy hash+per-record runtime:
-  // every status, size, and import tally must agree — the storage engine
-  // swap is invisible at the contract level.
-  auto config = [](store::SpentSetBackend backend, bool group_commit,
-                   const std::string& prefix) {
-    ServerRuntimeConfig cfg;
-    cfg.shard_count = 3;
-    cfg.spent_backend = backend;
-    cfg.group_commit_journal = group_commit;
-    cfg.journal_path_prefix = prefix;
-    return cfg;
   };
+  cleanup();
+
+  // Randomized traffic (heavy duplicates, overlapping imports) through a
+  // journaled runtime and through a std::unordered_set replay of the same
+  // calls: every status, import tally and size must agree, and a runtime
+  // rebuilt from the journal must hold exactly the reference set.
+  std::unordered_set<rel::LicenseId> reference;
+  ServerRuntimeConfig cfg;
+  cfg.shard_count = 3;
+  cfg.journal_path_prefix = prefix;
   {
-    ServerRuntime flat(
-        config(store::SpentSetBackend::kFlat, true, prefix_flat));
-    ServerRuntime hash(
-        config(store::SpentSetBackend::kHashSet, false, prefix_hash));
-    crypto::HmacDrbg rng("runtime-differential");
+    ServerRuntime rt(cfg);
+    crypto::HmacDrbg rng("runtime-reference");
     for (int round = 0; round < 20; ++round) {
       std::vector<rel::LicenseId> ids;
       std::size_t n = 1 + rng.NextUint64(60);
       for (std::size_t i = 0; i < n; ++i) {
-        ids.push_back(MakeId(rng.NextUint64(500)));  // heavy duplicates
+        ids.push_back(MakeId(rng.NextUint64(500)));
+      }
+      std::vector<Status> want;
+      ServerRuntime::ImportStats want_import;
+      for (const rel::LicenseId& id : ids) {
+        const bool fresh = reference.insert(id).second;
+        want.push_back(fresh ? Status::kOk : Status::kAlreadySpent);
+        ++(fresh ? want_import.fresh : want_import.duplicates);
       }
       if (rng.NextUint64(3) == 0) {
-        ServerRuntime::ImportStats fa = flat.ImportSpent(ids);
-        ServerRuntime::ImportStats ha = hash.ImportSpent(ids);
-        ASSERT_EQ(fa.fresh, ha.fresh) << "round " << round;
-        ASSERT_EQ(fa.duplicates, ha.duplicates) << "round " << round;
+        ServerRuntime::ImportStats got = rt.ImportSpent(ids);
+        ASSERT_EQ(got.fresh, want_import.fresh) << "round " << round;
+        ASSERT_EQ(got.duplicates, want_import.duplicates) << "round " << round;
       } else {
-        std::vector<Status> sf, sh;
-        flat.SpendBatch(ids, &sf, /*shed_on_full=*/false);
-        hash.SpendBatch(ids, &sh, /*shed_on_full=*/false);
-        ASSERT_EQ(sf, sh) << "round " << round;
+        std::vector<Status> got;
+        rt.SpendBatch(ids, &got, /*shed_on_full=*/false);
+        ASSERT_EQ(got, want) << "round " << round;
       }
-      ASSERT_EQ(flat.SpentSize(), hash.SpentSize()) << "round " << round;
+      ASSERT_EQ(rt.SpentSize(), reference.size()) << "round " << round;
     }
   }
-  // Cross-restart, cross-backend: each journal replays into a runtime
-  // using the OTHER backend (group-committed blocks and per-record
-  // journals are one on-disk format as far as replay is concerned).
+  // Restart from the journal at a different shard count.
+  cfg.shard_count = 2;
   {
-    ServerRuntime flat_from_hash(
-        config(store::SpentSetBackend::kFlat, true, prefix_hash));
-    ServerRuntime hash_from_flat(
-        config(store::SpentSetBackend::kHashSet, false, prefix_flat));
-    EXPECT_EQ(flat_from_hash.SpentSize(), hash_from_flat.SpentSize());
-    for (std::uint64_t n = 0; n < 500; ++n) {
-      ASSERT_EQ(flat_from_hash.SpendOne(MakeId(n)),
-                hash_from_flat.SpendOne(MakeId(n)))
+    ServerRuntime rt(cfg);
+    EXPECT_EQ(rt.SpentSize(), reference.size());
+    for (std::uint64_t n = 0; n < 600; ++n) {
+      const bool fresh = reference.insert(MakeId(n)).second;
+      ASSERT_EQ(rt.SpendOne(MakeId(n)),
+                fresh ? Status::kOk : Status::kAlreadySpent)
           << n;
     }
+    EXPECT_EQ(rt.SpentSize(), reference.size());
   }
-  for (const std::string& p : {prefix_flat, prefix_hash}) {
-    std::remove(p.c_str());
-    for (std::size_t i = 0; i < 8; ++i) {
-      std::remove(ServerRuntime::SegmentPath(p, i).c_str());
-    }
+  cleanup();
+}
+
+TEST(ServerRuntimeTest, FileAtBarePrefixRefusesConstruction) {
+  // A journal at the bare prefix is where a pre-sharding provider kept its
+  // spends. Replay reads only shard segments, so the runtime must refuse
+  // to start rather than forget those spends.
+  std::string prefix = ::testing::TempDir() + "/srv_bare_prefix";
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::remove(ServerRuntime::SegmentPath(prefix, i).c_str());
+  }
+  {
+    store::AppendLog bare(prefix);
+    const rel::LicenseId id = MakeId(7);
+    bare.Append(std::vector<std::uint8_t>(id.bytes.begin(), id.bytes.end()));
+  }
+  ServerRuntimeConfig cfg;
+  cfg.shard_count = 2;
+  cfg.journal_path_prefix = prefix;
+  EXPECT_THROW(ServerRuntime rt(cfg), std::runtime_error);
+  // The scan does not read the bare file either, and no segment was made.
+  ServerRuntime::JournalScanStats scan =
+      ServerRuntime::ForEachJournalRecord(prefix, nullptr);
+  EXPECT_EQ(scan.segments, 0u);
+  EXPECT_EQ(scan.records, 0u);
+
+  std::remove(prefix.c_str());
+  ServerRuntime rt(cfg);
+  EXPECT_EQ(rt.SpendOne(MakeId(7)), Status::kOk);
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::remove(ServerRuntime::SegmentPath(prefix, i).c_str());
   }
 }
 
@@ -662,6 +661,27 @@ TEST_F(BatchVerifierTest, PseudonymCertsVerifiedOncePerDistinctCert) {
   EXPECT_FALSE(verifier.VerifyPseudonymCert(ca.PublicKey(), forged));
   EXPECT_FALSE(verifier.VerifyPseudonymCert(ca.PublicKey(), forged));
   EXPECT_EQ(verifier.stats().cert_cache_hits, 10u);
+}
+
+TEST_F(BatchVerifierTest, CertMemoSeparatesCaKeys) {
+  // The memo reuses the CA key's fingerprint across calls; a verdict cached
+  // under CA A must not answer a question asked under CA B.
+  crypto::RsaPrivateKey ca_a = crypto::GenerateRsaKey(512, &rng_);
+  crypto::RsaPrivateKey ca_b = crypto::GenerateRsaKey(512, &rng_);
+  core::PseudonymCertificate cert;
+  cert.pseudonym_key = pub_;
+  cert.escrow.assign(24, 0x42);
+  cert.ca_signature = crypto::RsaSignFdh(ca_a, cert.CanonicalBytes());
+
+  BatchVerifier verifier;
+  EXPECT_TRUE(verifier.VerifyPseudonymCert(ca_a.PublicKey(), cert));
+  EXPECT_TRUE(verifier.VerifyPseudonymCert(ca_a.PublicKey(), cert));
+  EXPECT_FALSE(verifier.VerifyPseudonymCert(ca_b.PublicKey(), cert));
+  EXPECT_FALSE(verifier.VerifyPseudonymCert(ca_b.PublicKey(), cert));
+  EXPECT_TRUE(verifier.VerifyPseudonymCert(ca_a.PublicKey(), cert));
+  BatchVerifierStats stats = verifier.stats();
+  EXPECT_EQ(stats.full_verifies, 2u);  // one per (CA key, cert) pair
+  EXPECT_EQ(stats.cert_cache_hits, 3u);
 }
 
 // -- content provider batch fast path ---------------------------------------

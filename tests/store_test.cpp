@@ -1,4 +1,4 @@
-// Stores: Bloom filter, spent set (all backends), revocation list, CRC log.
+// Stores: Bloom filter, spent set (flat table), revocation list, CRC log.
 
 #include <gtest/gtest.h>
 
@@ -6,13 +6,14 @@
 #include <cstdio>
 #include <unistd.h>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "crypto/drbg.h"
 #include "store/append_log.h"
 #include "store/bloom_filter.h"
 #include "store/revocation_list.h"
-#include "store/spent_set.h"
+#include "store/flat_table.h"
 
 namespace p2drm {
 namespace store {
@@ -83,12 +84,10 @@ TEST(BloomFilter, FillRatioGrows) {
   EXPECT_LT(bf.FillRatio(), 0.8);  // near 0.5 at design load
 }
 
-// -- SpentSetShard (parameterized over backends) ------------------------------
+// -- Spent set: FlatIdTable against a std::unordered_set reference ----------
 
-class SpentSetTest : public ::testing::TestWithParam<SpentSetBackend> {};
-
-TEST_P(SpentSetTest, InsertContainsBasics) {
-  SpentSetShard set(GetParam());
+TEST(SpentSet, InsertContainsBasics) {
+  FlatIdTable set;
   EXPECT_FALSE(set.Contains(Id(1)));
   EXPECT_TRUE(set.Insert(Id(1)));
   EXPECT_TRUE(set.Contains(Id(1)));
@@ -96,15 +95,15 @@ TEST_P(SpentSetTest, InsertContainsBasics) {
   EXPECT_EQ(set.Size(), 1u);
 }
 
-TEST_P(SpentSetTest, DoubleInsertRejected) {
-  SpentSetShard set(GetParam());
+TEST(SpentSet, DoubleInsertRejected) {
+  FlatIdTable set;
   EXPECT_TRUE(set.Insert(Id(42)));
   EXPECT_FALSE(set.Insert(Id(42)));  // the double-redemption signal
   EXPECT_EQ(set.Size(), 1u);
 }
 
-TEST_P(SpentSetTest, ManyEntriesAllFound) {
-  SpentSetShard set(GetParam());
+TEST(SpentSet, ManyEntriesAllFound) {
+  FlatIdTable set;
   constexpr std::uint64_t kN = 500;
   for (std::uint64_t i = 0; i < kN; ++i) EXPECT_TRUE(set.Insert(Id(i)));
   EXPECT_EQ(set.Size(), kN);
@@ -114,44 +113,11 @@ TEST_P(SpentSetTest, ManyEntriesAllFound) {
   }
 }
 
-TEST_P(SpentSetTest, MemoryAccountingNonZero) {
-  SpentSetShard set(GetParam());
+TEST(SpentSet, MemoryAccountingNonZero) {
+  FlatIdTable set;
+  EXPECT_EQ(set.MemoryBytes(), 0u);
   for (std::uint64_t i = 0; i < 100; ++i) set.Insert(Id(i));
-  EXPECT_GT(set.MemoryBytes(), 100u * 16u / 2u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, SpentSetTest,
-                         ::testing::Values(SpentSetBackend::kHashSet,
-                                           SpentSetBackend::kSortedVector,
-                                           SpentSetBackend::kLinearScan,
-                                           SpentSetBackend::kFlat),
-                         [](const auto& info) {
-                           std::string name = SpentSetBackendName(info.param);
-                           return name == "hash-set"        ? "HashSet"
-                                  : name == "sorted-vector" ? "SortedVector"
-                                  : name == "linear-scan"   ? "LinearScan"
-                                                            : "Flat";
-                         });
-
-TEST(SpentSet, BackendsAgree) {
-  SpentSetShard a(SpentSetBackend::kHashSet);
-  SpentSetShard b(SpentSetBackend::kSortedVector);
-  SpentSetShard c(SpentSetBackend::kLinearScan);
-  SpentSetShard d(SpentSetBackend::kFlat);
-  crypto::HmacDrbg rng("agree");
-  for (int i = 0; i < 300; ++i) {
-    auto id = Id(rng.NextUint64(200));  // collisions on purpose
-    bool ra = a.Insert(id);
-    bool rb = b.Insert(id);
-    bool rc = c.Insert(id);
-    bool rd = d.Insert(id);
-    EXPECT_EQ(ra, rb);
-    EXPECT_EQ(rb, rc);
-    EXPECT_EQ(rc, rd);
-  }
-  EXPECT_EQ(a.Size(), b.Size());
-  EXPECT_EQ(b.Size(), c.Size());
-  EXPECT_EQ(c.Size(), d.Size());
+  EXPECT_GT(set.MemoryBytes(), 100u * 16u);
 }
 
 // Differential: the flat table must agree with unordered_set operation by
@@ -159,22 +125,22 @@ TEST(SpentSet, BackendsAgree) {
 // rehash boundaries (the table starts at 64 slots and doubles at 7/8 load,
 // so 40k distinct ids force ~10 rehashes mid-stream).
 TEST(SpentSet, FlatMatchesHashSetRandomized) {
-  SpentSetShard flat(SpentSetBackend::kFlat);
-  SpentSetShard hash(SpentSetBackend::kHashSet);
+  FlatIdTable flat;
+  std::unordered_set<rel::LicenseId> hash;
   crypto::HmacDrbg rng("flat-differential");
   for (int i = 0; i < 120000; ++i) {
     auto id = Id(rng.NextUint64(40000));  // ~3x duplicates
     if (rng.NextUint64(4) == 0) {
-      ASSERT_EQ(flat.Contains(id), hash.Contains(id)) << "op " << i;
+      ASSERT_EQ(flat.Contains(id), hash.count(id) != 0) << "op " << i;
     } else {
-      ASSERT_EQ(flat.Insert(id), hash.Insert(id)) << "op " << i;
+      ASSERT_EQ(flat.Insert(id), hash.insert(id).second) << "op " << i;
     }
   }
-  ASSERT_EQ(flat.Size(), hash.Size());
+  ASSERT_EQ(flat.Size(), hash.size());
   // Post-hoc sweep: every id the hash set holds must probe present in the
-  // flat table, and a disjoint range must probe absent in both.
+  // flat table, and a disjoint range must probe absent.
   for (std::uint64_t i = 0; i < 40000; ++i) {
-    ASSERT_EQ(flat.Contains(Id(i)), hash.Contains(Id(i))) << i;
+    ASSERT_EQ(flat.Contains(Id(i)), hash.count(Id(i)) != 0) << i;
   }
   for (std::uint64_t i = 40000; i < 41000; ++i) {
     ASSERT_FALSE(flat.Contains(Id(i)));
@@ -184,65 +150,69 @@ TEST(SpentSet, FlatMatchesHashSetRandomized) {
 // The batch APIs must be bit-identical to N scalar calls — including the
 // first-wins rule for duplicates INSIDE one batch (the runtime journals
 // exactly the fresh ids, so a double-counted duplicate would double-journal).
-TEST(SpentSet, BatchApisMatchScalarAcrossBackends) {
-  for (auto backend : {SpentSetBackend::kHashSet, SpentSetBackend::kFlat}) {
-    SpentSetShard batched(backend);
-    SpentSetShard scalar(backend);
-    crypto::HmacDrbg rng("batch-differential");
-    std::vector<rel::LicenseId> ids;
-    for (int round = 0; round < 40; ++round) {
-      // Odd batch sizes exercise the pipelined window's tail handling.
-      std::size_t n = 1 + rng.NextUint64(97);
-      ids.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        ids.push_back(Id(rng.NextUint64(800)));
-      }
-      // A guaranteed in-batch duplicate pair: first wins, second does not.
-      if (n >= 2) ids[n - 1] = ids[0];
-      std::vector<std::uint8_t> fresh(n, 0xAA), hit(n, 0xAA);
-      batched.InsertBatch(ids.data(), n, fresh.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(fresh[i] != 0, scalar.Insert(ids[i]))
-            << SpentSetBackendName(backend) << " round " << round << " item "
-            << i;
-      }
-      batched.ContainsBatch(ids.data(), n, hit.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hit[i] != 0, scalar.Contains(ids[i]))
-            << SpentSetBackendName(backend) << " round " << round << " item "
-            << i;
-      }
+// Scalar calls are checked on a second flat table and on the reference set.
+TEST(SpentSet, BatchApisMatchScalar) {
+  FlatIdTable batched;
+  FlatIdTable scalar;
+  std::unordered_set<rel::LicenseId> reference;
+  crypto::HmacDrbg rng("batch-differential");
+  std::vector<rel::LicenseId> ids;
+  for (int round = 0; round < 40; ++round) {
+    // Odd batch sizes exercise the pipelined window's tail handling.
+    std::size_t n = 1 + rng.NextUint64(97);
+    ids.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      ids.push_back(Id(rng.NextUint64(800)));
     }
-    ASSERT_EQ(batched.Size(), scalar.Size()) << SpentSetBackendName(backend);
+    // A guaranteed in-batch duplicate pair: first wins, second does not.
+    if (n >= 2) ids[n - 1] = ids[0];
+    std::vector<std::uint8_t> fresh(n, 0xAA), hit(n, 0xAA);
+    batched.InsertBatch(ids.data(), n, fresh.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(fresh[i] != 0, scalar.Insert(ids[i]))
+          << "round " << round << " item " << i;
+      ASSERT_EQ(fresh[i] != 0, reference.insert(ids[i]).second)
+          << "round " << round << " item " << i;
+    }
+    if (n >= 2) {
+      ASSERT_EQ(fresh[n - 1], 0) << "round " << round;
+    }
+    batched.ContainsBatch(ids.data(), n, hit.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hit[i] != 0, scalar.Contains(ids[i]))
+          << "round " << round << " item " << i;
+    }
   }
+  ASSERT_EQ(batched.Size(), scalar.Size());
+  ASSERT_EQ(batched.Size(), reference.size());
 }
 
 // Replaying the same import twice (duplicate ImportSpent) must be a no-op
-// the second time on every backend — InsertBatch reports nothing fresh and
-// the size is unchanged. This is the idempotency the journal-replay path
+// the second time — InsertBatch reports nothing fresh and the size and
+// footprint are unchanged. This is the idempotency the journal-replay path
 // (server_runtime.cpp ReplayJournals) depends on.
 TEST(SpentSet, DuplicateImportReplayIsIdempotent) {
-  for (auto backend : {SpentSetBackend::kHashSet, SpentSetBackend::kFlat}) {
-    SpentSetShard set(backend);
-    constexpr std::size_t kN = 5000;
-    std::vector<rel::LicenseId> ids;
-    for (std::uint64_t i = 0; i < kN; ++i) ids.push_back(Id(i));
-    std::vector<std::uint8_t> fresh(kN, 0);
-    set.InsertBatch(ids.data(), kN, fresh.data());
-    for (std::size_t i = 0; i < kN; ++i) ASSERT_TRUE(fresh[i]) << i;
-    // Second replay of the identical import.
-    set.InsertBatch(ids.data(), kN, fresh.data());
-    for (std::size_t i = 0; i < kN; ++i) ASSERT_FALSE(fresh[i]) << i;
-    ASSERT_EQ(set.Size(), kN) << SpentSetBackendName(backend);
-  }
+  FlatIdTable set;
+  constexpr std::size_t kN = 5000;
+  std::vector<rel::LicenseId> ids;
+  for (std::uint64_t i = 0; i < kN; ++i) ids.push_back(Id(i));
+  std::vector<std::uint8_t> fresh(kN, 0);
+  set.InsertBatch(ids.data(), kN, fresh.data());
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_TRUE(fresh[i]) << i;
+  const std::size_t bytes = set.MemoryBytes();
+  // Second replay of the identical import.
+  set.InsertBatch(ids.data(), kN, fresh.data());
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_FALSE(fresh[i]) << i;
+  ASSERT_EQ(set.Size(), kN);
+  ASSERT_EQ(set.MemoryBytes(), bytes);
 }
 
 // Rehash boundaries: inserting one-at-a-time versus in one batch must land
-// on the same table geometry (MemoryBytes is exact for flat, so equality
-// proves the rehash points depend only on the insert sequence).
+// on the same table geometry (MemoryBytes is exact, so equality proves the
+// rehash points depend only on the insert sequence).
 TEST(SpentSet, FlatRehashDeterministicAcrossBatching) {
-  SpentSetShard one_by_one(SpentSetBackend::kFlat);
-  SpentSetShard in_batches(SpentSetBackend::kFlat);
+  FlatIdTable one_by_one;
+  FlatIdTable in_batches;
   constexpr std::size_t kN = 3000;  // crosses several doublings from 64
   std::vector<rel::LicenseId> ids;
   for (std::uint64_t i = 0; i < kN; ++i) ids.push_back(Id(i * 7 + 1));
@@ -305,8 +275,7 @@ TEST_P(CrlTest, EntriesSnapshot) {
 
 INSTANTIATE_TEST_SUITE_P(Strategies, CrlTest,
                          ::testing::Values(CrlStrategy::kSortedSet,
-                                           CrlStrategy::kBloomFronted,
-                                           CrlStrategy::kLinearScan));
+                                           CrlStrategy::kBloomFronted));
 
 // -- AppendLog ---------------------------------------------------------------
 

@@ -5,7 +5,7 @@ Reads the report written by bench_storage (BENCH_bench_storage.json) and
 fails the build unless:
 
   1. The flat table's batch contains throughput on present ids is at
-     least --min-ratio x the legacy hash-set backend at --entries
+     least --min-ratio x the bench-local hash-set baseline at --entries
      entries. The spend path probes the spent set once per redemption,
      so this ratio IS the mutate-stage headroom the flat engine exists
      to provide; a regression that gives it back turns CI red.
