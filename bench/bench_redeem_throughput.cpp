@@ -17,6 +17,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <unordered_set>
 #include <vector>
 
@@ -63,24 +65,38 @@ struct LinearScanIds {
   std::vector<LicenseId> ids;  // insertion order
 };
 
-// Big-endian counter ids: ascending n is ascending lexicographically, so
-// preloading the sorted vector stays append-only (O(1) amortized)
-// instead of degenerating into O(n^2) mid-vector inserts.
+// Mixed ids: splitmix64 of the counter in bytes 0-7 (a bijection, so the
+// ids stay distinct) and a second round in bytes 8-15. std::hash<LicenseId>
+// folds bytes 0-7 as they are, so a plain counter there would give the
+// hash set consecutive buckets over nodes allocated in order, and its
+// lookups would walk memory sequentially as real random ids never do.
+std::uint64_t SplitMix64(std::uint64_t z) {
+  z += 0x9e3779b97f4a7c15ull;
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
 LicenseId MakeId(std::uint64_t n) {
   LicenseId id;
-  for (int i = 0; i < 8; ++i) {
-    id.bytes[i] = static_cast<std::uint8_t>(n >> (8 * (7 - i)));
-  }
-  std::uint64_t mixed = n * 0x9e3779b97f4a7c15ull;
-  for (int i = 8; i < 16; ++i) {
-    id.bytes[i] = static_cast<std::uint8_t>(mixed >> (8 * (i - 8)));
-  }
+  const std::uint64_t lo = SplitMix64(n);
+  const std::uint64_t hi = SplitMix64(lo);
+  std::memcpy(id.bytes.data(), &lo, 8);
+  std::memcpy(id.bytes.data() + 8, &hi, 8);
   return id;
 }
 
 template <class Set>
 void FillSet(Set* set, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) set->Insert(MakeId(i));
+}
+
+// Mixed ids arrive in no order, so the sorted vector is preloaded with one
+// sort instead of n mid-vector inserts.
+void FillSet(SortedVectorIds* set, std::size_t n) {
+  set->ids.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) set->ids.push_back(MakeId(i));
+  std::sort(set->ids.begin(), set->ids.end());
 }
 
 template <class Set>

@@ -29,9 +29,12 @@
 // Part D — issuance pipeline. Drives real ContentProvider batch
 // redemptions at signer pool sizes 1/2/4/8 and reports the per-stage
 // wall timings (verify / spend / issue) plus issue-stage signatures per
-// second. The signing work executes on the pool's workers and the
-// joining dispatch thread, and each item's measured wall time accrues on
-// the clock of the thread that signed it, so the issue-stage makespan
+// second. Every configuration must report exactly one signature per
+// item (a fresh redemption signs its license, not its transcript); that
+// count is checked before any timing. The signing work executes on the
+// pool's workers and the joining dispatch thread, and each item's
+// measured wall time accrues on the clock of the thread that signed it,
+// so the issue-stage makespan
 // (the slowest signer's clock) and the sigs/s derived from it follow
 // where the work really ran. Each configuration runs several batches
 // and reports the fastest, so a batch whose signers the OS stacked on
@@ -632,6 +635,17 @@ int main(int argc, char** argv) {
     report.Metric(prefix + ".signatures", static_cast<double>(r.signatures));
     report.Metric(prefix + ".sim_sigs_per_sec", r.sigs_per_sec_sim);
     report.Metric(prefix + ".total_wall_us", r.total_wall_us);
+    // A fresh redemption signs its license only; its transcript is
+    // signed if it ever becomes fraud evidence. A count, not a timing,
+    // so it holds on any runner.
+    if (r.signatures != pipeline_items) {
+      std::fprintf(stderr,
+                   "FAIL: fresh redeem batch of %zu items made %llu "
+                   "signatures, not one per item\n",
+                   pipeline_items,
+                   static_cast<unsigned long long>(r.signatures));
+      return 1;
+    }
     if (signers == 1) base_sigs_per_sec = r.sigs_per_sec_sim;
     if (signers == 4) {
       double ratio =

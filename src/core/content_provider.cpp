@@ -575,9 +575,13 @@ RedemptionTranscript ContentProvider::MakeTranscript(
   t.license_id = id;
   t.pseudonym_cert = cert.Serialize();
   t.timestamp_s = clock_->NowEpochSeconds();
-  GlobalOps().sign += 1;
-  t.cp_signature = crypto::RsaSignFdh(key_, t.CanonicalBytes());
   return t;
+}
+
+void ContentProvider::SignTranscript(RedemptionTranscript* t) const {
+  if (!t->cp_signature.empty()) return;
+  GlobalOps().sign += 1;
+  t->cp_signature = crypto::RsaSignFdh(key_, t->CanonicalBytes());
 }
 
 ContentProvider::PurchaseResult ContentProvider::RedeemAnonymous(
@@ -619,10 +623,19 @@ ContentProvider::IssuedRedemption ContentProvider::SignRedemption(
     const RedeemItem& item, Status spend_status,
     bignum::RandomSource* rng) const {
   IssuedRedemption out;
-  // The transcript is signed even for a double redemption — it is the
-  // second half of the fraud evidence handed to the TTP.
   out.transcript = MakeTranscript(item.anonymous_license.id, item.taker);
   if (spend_status == Status::kAlreadySpent) {
+    // A double redemption turns both records into fraud evidence, so
+    // both are signed here. The map is only read: commits run after the
+    // issue stage has joined. A first redemption earlier in this same
+    // batch is not in the map yet; CommitRedemption signs that one.
+    SignTranscript(&out.transcript);
+    auto first = redemption_transcripts_.find(item.anonymous_license.id);
+    if (first != redemption_transcripts_.end() &&
+        first->second.cp_signature.empty()) {
+      out.signed_first = first->second;
+      SignTranscript(&*out.signed_first);
+    }
     out.status = Status::kAlreadySpent;
     return out;
   }
@@ -638,10 +651,15 @@ ContentProvider::PurchaseResult ContentProvider::CommitRedemption(
     const RedeemItem& item, IssuedRedemption issued) {
   PurchaseResult result;
   if (issued.status == Status::kAlreadySpent) {
-    // Double redemption: build fraud evidence from the first transcript.
+    // Double redemption: build fraud evidence from the first transcript,
+    // which stays signed in the map for any later double of this id.
     ++double_redemptions_;
     auto first = redemption_transcripts_.find(item.anonymous_license.id);
     if (first != redemption_transcripts_.end()) {
+      if (issued.signed_first.has_value()) {
+        first->second = std::move(*issued.signed_first);
+      }
+      SignTranscript(&first->second);
       FraudEvidence evidence;
       evidence.first = first->second;
       evidence.second = std::move(issued.transcript);
@@ -724,12 +742,13 @@ ContentProvider::RedeemAnonymousBatch(const std::vector<RedeemItem>& items) {
                            return items[i].anonymous_license.id;
                          });
   };
-  // A detected double redemption still gets signed: the transcript is
-  // the second half of the fraud evidence handed to the TTP.
+  // A detected double redemption still runs the issue stage: it signs
+  // both transcripts of the fraud evidence handed to the TTP.
   plan.proceed = [](Status s) { return s == Status::kAlreadySpent; };
 
-  // Issue: transcript + fresh-license signing, the dominant per-item
-  // private-key cost, fanned out to the signer pool (inline without one).
+  // Issue: the fresh license's signature, or a double redemption's
+  // evidence transcripts — the dominant per-item private-key cost —
+  // fanned out to the signer pool (inline without one).
   plan.begin_issue = [&](std::size_t n) {
     forks.reserve(n);
     issued.resize(n);
@@ -756,7 +775,9 @@ std::optional<RedemptionTranscript> ContentProvider::TranscriptFor(
     const rel::LicenseId& id) const {
   auto it = redemption_transcripts_.find(id);
   if (it == redemption_transcripts_.end()) return std::nullopt;
-  return it->second;
+  RedemptionTranscript t = it->second;
+  SignTranscript(&t);
+  return t;
 }
 
 void ContentProvider::Revoke(const rel::KeyFingerprint& key_id) {

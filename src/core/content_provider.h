@@ -232,7 +232,8 @@ class ContentProvider {
   struct PipelineTimings {
     double verify_us = 0;  ///< batch-verify stage (signatures, certs, CRL)
     double spend_us = 0;   ///< shard-serialized state stage (spend set / bank)
-    double issue_us = 0;   ///< signing stage (transcripts + fresh licenses)
+    double issue_us = 0;   ///< signing stage (fresh licenses; both evidence
+                           ///< transcripts for a double redemption)
     double makespan_us = 0;  ///< end-to-end span (excludes the commit tail)
     std::size_t items = 0;
   };
@@ -259,7 +260,10 @@ class ContentProvider {
   void set_observability(const obs::Sink& sink, const std::string& prefix = "");
 
   /// First-seen redemption transcript for \p id (the fraud-evidence
-  /// basis), if that id has been freshly redeemed.
+  /// basis), if that id has been freshly redeemed. The provider keeps the
+  /// record unsigned until it becomes evidence; the copy returned here is
+  /// always signed, with the bytes eager signing would have produced
+  /// (RSA-FDH signing is deterministic).
   std::optional<RedemptionTranscript> TranscriptFor(
       const rel::LicenseId& id) const;
 
@@ -294,11 +298,15 @@ class ContentProvider {
  private:
   /// What the pure signing stage of a redemption produces. The transcript
   /// is always built (it is the fraud-evidence basis for double
-  /// redemptions); the license only when the spend was fresh.
+  /// redemptions) but signed only for a double; the license only when the
+  /// spend was fresh.
   struct IssuedRedemption {
     Status status = Status::kBadRequest;
     rel::License license;  ///< valid when status == kOk
-    RedemptionTranscript transcript;
+    RedemptionTranscript transcript;  ///< signed when kAlreadySpent
+    /// Double redemption whose first record was in the map unsigned at
+    /// issue time: a signed copy of it, for CommitRedemption to store.
+    std::optional<RedemptionTranscript> signed_first;
   };
 
   /// Pure part of license issuance: fresh id, content-key wrapping and
@@ -317,8 +325,11 @@ class ContentProvider {
   rel::License IssueLicense(rel::LicenseKind kind, rel::ContentId content_id,
                             const rel::Rights& rights,
                             const crypto::RsaPublicKey* bound_key);
+  /// Builds an unsigned transcript, reading the clock once.
   RedemptionTranscript MakeTranscript(const rel::LicenseId& id,
                                       const PseudonymCertificate& cert) const;
+  /// Signs \p t if it carries no signature yet. Const and thread-safe.
+  void SignTranscript(RedemptionTranscript* t) const;
   bool MarkSpent(const rel::LicenseId& id);
   /// Per-item RNG fork for the redemption issue stage, domain-tagged by
   /// the redeemed id. Forked on the dispatch thread in item-index order,
@@ -337,14 +348,20 @@ class ContentProvider {
   std::vector<Status> SpendEligible(
       const std::vector<std::size_t>& eligible,
       const std::function<const rel::LicenseId&(std::size_t)>& id_of);
-  /// Pure signing stage of one redemption: transcript always, fresh
-  /// license when \p spend_status is kOk. Const and thread-safe (runs on
-  /// signer threads); all randomness comes from \p rng.
+  /// Pure signing stage of one redemption. Fresh (\p spend_status kOk):
+  /// signs the license only, and the transcript stays unsigned. Double
+  /// (kAlreadySpent): signs its own transcript, plus a copy of the first
+  /// record when the map still holds it unsigned. Const and thread-safe
+  /// (runs on signer threads, and only reads redemption_transcripts_,
+  /// which commits write after the issue stage has joined); all
+  /// randomness comes from \p rng.
   IssuedRedemption SignRedemption(const RedeemItem& item, Status spend_status,
                                   bignum::RandomSource* rng) const;
   /// State-mutating stage of one redemption: transcript map, fraud
   /// evidence, pseudonym bookkeeping, issued-key map. Dispatch thread
-  /// only, in item-index order.
+  /// only, in item-index order. A double stores the signed first record
+  /// back in the map, signing it here when its first redemption came
+  /// earlier in the same batch, and queues the evidence.
   PurchaseResult CommitRedemption(const RedeemItem& item,
                                   IssuedRedemption issued);
 
@@ -369,7 +386,8 @@ class ContentProvider {
   std::unique_ptr<server::BatchPipeline> pipeline_;  ///< every batch call
   server::BatchVerifier verifier_;
   store::RevocationList crl_;
-  // First-seen transcript per redeemed license id (fraud evidence basis).
+  // First-seen transcript per redeemed license id (fraud evidence basis),
+  // unsigned until a double redemption of that id signs it.
   std::map<rel::LicenseId, RedemptionTranscript> redemption_transcripts_;
   std::vector<FraudEvidence> fraud_queue_;
   std::set<rel::KeyFingerprint> pseudonyms_seen_;

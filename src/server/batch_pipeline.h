@@ -139,8 +139,8 @@ class BatchPipeline {
         mutate;
 
     /// Whether a non-kOk, non-kOverloaded mutate status still goes
-    /// through issue + commit (redemption signs a fraud-evidence
-    /// transcript for kAlreadySpent). Null: only kOk proceeds.
+    /// through issue + commit (redemption signs both fraud-evidence
+    /// transcripts for kAlreadySpent). Null: only kOk proceeds.
     std::function<bool(core::Status)> proceed;
 
     /// Called once with the live-item count before any draw_fork call,

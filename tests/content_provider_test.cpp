@@ -8,9 +8,11 @@
 #include <stdexcept>
 
 #include "core/certification_authority.h"
+#include "core/metrics.h"
 #include "core/smartcard.h"
 #include "crypto/blind_rsa.h"
 #include "crypto/drbg.h"
+#include "crypto/rsa.h"
 #include "server/server_runtime.h"
 #include "store/append_log.h"
 
@@ -39,12 +41,14 @@ class ContentProviderTest : public ::testing::Test {
     return c;
   }
 
-  Pseudonym* NewPseudonym() {
+  Pseudonym* NewPseudonym() { return NewPseudonym(&card_); }
+
+  Pseudonym* NewPseudonym(SmartCard* card) {
     PseudonymRequest req =
-        card_.BeginPseudonym(ca_.PublicKey(), ttp_.EscrowKey());
+        card->BeginPseudonym(ca_.PublicKey(), ttp_.EscrowKey());
     bignum::BigInt sig =
-        ca_.SignPseudonymBlinded(card_.CardId(), req.blinding.blinded);
-    return card_.FinishPseudonym(std::move(req), sig, ca_.PublicKey());
+        ca_.SignPseudonymBlinded(card->CardId(), req.blinding.blinded);
+    return card->FinishPseudonym(std::move(req), sig, ca_.PublicKey());
   }
 
   Coin WithdrawCoin(std::uint32_t denom) {
@@ -330,6 +334,147 @@ TEST_F(ContentProviderTest, DistinctPseudonymCounting) {
   cp_.Purchase(p2->cert, content_, Pay(30));
   cp_.Purchase(p1->cert, content_, Pay(30));
   EXPECT_EQ(cp_.DistinctPseudonymsSeen(), 2u);
+}
+
+// A redemption transcript is signed only when it becomes fraud evidence.
+// The provider here has two redeem shards and a three-worker signer pool,
+// so the issue stage reads the transcript map from signer threads (run
+// this binary under TSan). Signatures are counted process-wide through
+// AggregateOps(), so each delta covers the pool workers too.
+class LazyTranscriptTest : public ContentProviderTest {
+ protected:
+  LazyTranscriptTest()
+      : pooled_(PooledConfig(), &rng_, &clock_, &bank_, ca_.PublicKey()),
+        cheat_card_("Mallory", 512, &rng_) {
+    cheat_card_.StoreIdentityCertificate(
+        ca_.Enrol("Mallory", cheat_card_.MasterKey()));
+    pooled_content_ = pooled_.Publish(
+        "Single", std::vector<std::uint8_t>(16, 0x3c), 30,
+        rel::Rights::FullRetail());
+    giver_ = NewPseudonym();
+    taker_ = NewPseudonym();
+  }
+
+  static ContentProviderConfig PooledConfig() {
+    ContentProviderConfig c = Config();
+    c.redeem_shards = 2;
+    c.signer_pool_size = 3;
+    return c;
+  }
+
+  rel::License NewBearer() {
+    auto bought = pooled_.Purchase(giver_->cert, pooled_content_, Pay(30));
+    EXPECT_EQ(bought.status, Status::kOk);
+    auto sig = card_.SignWithPseudonym(
+        giver_->cert.KeyId(),
+        ContentProvider::TransferChallengeBytes(bought.license.id));
+    auto exch = pooled_.ExchangeForAnonymous(bought.license, sig);
+    EXPECT_EQ(exch.status, Status::kOk);
+    return exch.anonymous_license;
+  }
+
+  /// Runs \p items as one batch; returns the signatures it made.
+  std::uint64_t SignsOf(const std::vector<ContentProvider::RedeemItem>& items,
+                        std::vector<ContentProvider::PurchaseResult>* out) {
+    const std::uint64_t before = AggregateOps().sign;
+    *out = pooled_.RedeemAnonymousBatch(items);
+    return AggregateOps().sign - before;
+  }
+
+  bool Signed(const RedemptionTranscript& t) const {
+    return crypto::RsaVerifyFdh(pooled_.PublicKey(), t.CanonicalBytes(),
+                                t.cp_signature);
+  }
+
+  /// Both transcripts verify and the TTP opens the cheater's escrow.
+  void ExpectEvidenceNamesCheater(const FraudEvidence& e,
+                                  const rel::LicenseId& id) {
+    EXPECT_EQ(e.first.license_id, id);
+    EXPECT_EQ(e.second.license_id, id);
+    EXPECT_TRUE(Signed(e.first));
+    EXPECT_TRUE(Signed(e.second));
+    auto opened = ttp_.OpenEscrow(e, pooled_.PublicKey());
+    ASSERT_TRUE(opened.opened) << opened.reason;
+    EXPECT_EQ(opened.card_id, cheat_card_.CardId());
+    EXPECT_NE(opened.card_id, card_.CardId());
+  }
+
+  ContentProvider pooled_;
+  SmartCard cheat_card_;
+  rel::ContentId pooled_content_ = 0;
+  Pseudonym* giver_ = nullptr;
+  Pseudonym* taker_ = nullptr;
+};
+
+TEST_F(LazyTranscriptTest, FreshRedeemBatchSignsOncePerItem) {
+  std::vector<ContentProvider::RedeemItem> items;
+  for (int i = 0; i < 6; ++i) items.push_back({NewBearer(), taker_->cert});
+
+  std::vector<ContentProvider::PurchaseResult> out;
+  EXPECT_EQ(SignsOf(items, &out), items.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i].status, Status::kOk) << "item " << i;
+    auto t = pooled_.TranscriptFor(items[i].anonymous_license.id);
+    ASSERT_TRUE(t.has_value());
+    EXPECT_TRUE(Signed(*t)) << "item " << i;
+  }
+  EXPECT_TRUE(pooled_.TakeFraudEvidence().empty());
+
+  // The single-item path is a batch of one: one signature.
+  const rel::License single = NewBearer();
+  const std::uint64_t before = AggregateOps().sign;
+  ASSERT_EQ(pooled_.RedeemAnonymous(single, taker_->cert).status, Status::kOk);
+  EXPECT_EQ(AggregateOps().sign - before, 1u);
+}
+
+TEST_F(LazyTranscriptTest, FirstDoubleSignsTwiceAndLaterDoublesOnce) {
+  const rel::License bearer = NewBearer();
+  std::vector<ContentProvider::PurchaseResult> out;
+  ASSERT_EQ(SignsOf({{bearer, taker_->cert}}, &out), 1u);
+  ASSERT_EQ(out[0].status, Status::kOk);
+
+  clock_.Advance(10);
+  Pseudonym* cheat = NewPseudonym(&cheat_card_);
+  EXPECT_EQ(SignsOf({{bearer, cheat->cert}}, &out), 2u);
+  ASSERT_EQ(out[0].status, Status::kAlreadySpent);
+  auto evidence = pooled_.TakeFraudEvidence();
+  ASSERT_EQ(evidence.size(), 1u);
+  ExpectEvidenceNamesCheater(evidence[0], bearer.id);
+
+  // The first record stays signed: a third redemption signs only its own
+  // transcript, and the first half of its evidence is the same record.
+  clock_.Advance(10);
+  Pseudonym* again = NewPseudonym(&cheat_card_);
+  EXPECT_EQ(SignsOf({{bearer, again->cert}}, &out), 1u);
+  ASSERT_EQ(out[0].status, Status::kAlreadySpent);
+  auto later = pooled_.TakeFraudEvidence();
+  ASSERT_EQ(later.size(), 1u);
+  EXPECT_EQ(later[0].first.Serialize(), evidence[0].first.Serialize());
+  ExpectEvidenceNamesCheater(later[0], bearer.id);
+  EXPECT_EQ(pooled_.DoubleRedemptionAttempts(), 2u);
+}
+
+TEST_F(LazyTranscriptTest, DoubleInsideTheFirstRedemptionsBatch) {
+  const rel::License bearer = NewBearer();
+  const rel::License other = NewBearer();
+  Pseudonym* cheat = NewPseudonym(&cheat_card_);
+  std::vector<ContentProvider::PurchaseResult> out;
+  // Two fresh licenses, the double's own transcript, and the first
+  // record, which the commit tail signs on the dispatch thread.
+  EXPECT_EQ(SignsOf({{bearer, taker_->cert},
+                     {other, taker_->cert},
+                     {bearer, cheat->cert}},
+                    &out),
+            4u);
+  EXPECT_EQ(out[0].status, Status::kOk);
+  EXPECT_EQ(out[1].status, Status::kOk);
+  EXPECT_EQ(out[2].status, Status::kAlreadySpent);
+  auto evidence = pooled_.TakeFraudEvidence();
+  ASSERT_EQ(evidence.size(), 1u);
+  ExpectEvidenceNamesCheater(evidence[0], bearer.id);
+  auto first = pooled_.TranscriptFor(bearer.id);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->Serialize(), evidence[0].first.Serialize());
 }
 
 }  // namespace

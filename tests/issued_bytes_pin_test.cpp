@@ -72,5 +72,62 @@ TEST(IssuedBytesPin, RedeemBatchThroughAThreeWorkerSignerPool) {
             "be2865e228de2ed5814d0e8c7a9f0f63432d30ca580fbefb9b691e4cd58b28a4");
 }
 
+TEST(IssuedBytesPin, DoubleRedemptionEvidence) {
+  // The fraud evidence a TTP receives, byte for byte: ids double-redeemed
+  // across batches, one id double-redeemed inside the batch that first
+  // redeems it, a third redemption of an id whose first record is already
+  // evidence, and two doubles of one id in the same later batch. Same
+  // 1024-bit stack keys and three-worker pool as above.
+  sim::ProviderStack stack("issued-bytes-pin/evidence", /*redeem_shards=*/2,
+                           /*key_bits=*/1024, /*queue_capacity=*/4096,
+                           /*signer_pool_size=*/3);
+  ASSERT_NE(stack.cp.Pool(), nullptr);
+  core::Pseudonym* giver = stack.NewPseudonym();
+  core::Pseudonym* first_taker = stack.NewPseudonym();
+  core::Pseudonym* cheater = stack.NewPseudonym();
+  core::Pseudonym* third = stack.NewPseudonym();
+  std::vector<rel::License> bearers;
+  for (int i = 0; i < 5; ++i) bearers.push_back(stack.NewBearer(giver));
+
+  using Items = std::vector<core::ContentProvider::RedeemItem>;
+  const Items batch1 = {{bearers[0], first_taker->cert},
+                        {bearers[1], first_taker->cert},
+                        {bearers[2], first_taker->cert}};
+  const Items batch2 = {{bearers[0], cheater->cert},
+                        {bearers[3], first_taker->cert},
+                        {bearers[1], cheater->cert},
+                        {bearers[3], cheater->cert},
+                        {bearers[4], first_taker->cert}};
+  const Items batch3 = {{bearers[0], third->cert},
+                        {bearers[4], cheater->cert},
+                        {bearers[2], cheater->cert},
+                        {bearers[2], third->cert}};
+  const std::vector<std::vector<core::Status>> want = {
+      {core::Status::kOk, core::Status::kOk, core::Status::kOk},
+      {core::Status::kAlreadySpent, core::Status::kOk,
+       core::Status::kAlreadySpent, core::Status::kAlreadySpent,
+       core::Status::kOk},
+      {core::Status::kAlreadySpent, core::Status::kAlreadySpent,
+       core::Status::kAlreadySpent, core::Status::kAlreadySpent}};
+
+  const std::vector<const Items*> batches = {&batch1, &batch2, &batch3};
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    if (b > 0) stack.clock.Advance(60);
+    const auto out = stack.cp.RedeemAnonymousBatch(*batches[b]);
+    ASSERT_EQ(out.size(), want[b].size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i].status, want[b][i]) << "batch " << b << " item " << i;
+    }
+  }
+
+  const std::vector<core::FraudEvidence> evidence =
+      stack.cp.TakeFraudEvidence();
+  ASSERT_EQ(evidence.size(), 7u);
+  crypto::Sha256 h;
+  for (const core::FraudEvidence& e : evidence) h.Update(e.Serialize());
+  EXPECT_EQ(crypto::DigestToHex(h.Final()),
+            "13ecdc61a761c90b7b0dc97c1e2e72568136a6245758e405d7fee64a35113658");
+}
+
 }  // namespace
 }  // namespace p2drm
