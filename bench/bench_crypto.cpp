@@ -4,7 +4,10 @@
 // blind-signature client and signer costs, hybrid encryption, SHA-256 and
 // ChaCha20 throughput — each across modulus sizes 512/1024/2048. Includes
 // the Montgomery-vs-plain modexp ablation called out in DESIGN.md and the
-// Montgomery squaring-vs-multiply kernel pair.
+// Montgomery squaring-vs-multiply kernel pair. The hashing rows
+// (SHA-256 throughput, a 4-byte HMAC-DRBG draw, a DRBG fork, the 2048-bit
+// full-domain hash) price the per-item hashing the issue and verify
+// stages pay on top of the exponentiations.
 
 #include <benchmark/benchmark.h>
 
@@ -13,12 +16,17 @@
 #include <map>
 #include <vector>
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <cpuid.h>
+#endif
+
 #include "bignum/ifma.h"
 #include "bignum/limbs.h"
 #include "bignum/montgomery.h"
 #include "crypto/blind_rsa.h"
 #include "crypto/chacha20.h"
 #include "crypto/drbg.h"
+#include "crypto/hmac.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
 
@@ -27,6 +35,19 @@ namespace {
 using p2drm::bignum::BigInt;
 using p2drm::bignum::Montgomery;
 namespace crypto = p2drm::crypto;
+
+// The CPU's SHA-extensions bit (cpuid leaf 7 EBX bit 29), read here
+// rather than from the library so the config block can show a library
+// that failed to pick its SHA-NI kernel.
+bool CpuReportsShaNi() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return (ebx & (1u << 29)) != 0;
+#else
+  return false;
+#endif
+}
 
 const crypto::RsaPrivateKey& KeyForBits(std::size_t bits) {
   static std::map<std::size_t, crypto::RsaPrivateKey> cache;
@@ -143,6 +164,41 @@ void BM_Sha256Throughput(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256Throughput)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
+// One license-id draw: the 4-byte Fill every issued item makes from its
+// fork (one HMAC for the output, three for the state update).
+void BM_HmacDrbgFill4(benchmark::State& state) {
+  crypto::HmacDrbg rng("drbg-fill-bench");
+  std::uint8_t out[4] = {};
+  for (auto _ : state) {
+    rng.Fill(out, sizeof(out));
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_HmacDrbgFill4)->Unit(benchmark::kNanosecond);
+
+// One per-item fork as BatchPipeline::Run draws them on the dispatch
+// thread: a 32-byte parent draw plus instantiating the child.
+void BM_ForkRandom(benchmark::State& state) {
+  crypto::HmacDrbg parent("fork-bench");
+  const std::vector<std::uint8_t> tag = {'i', 's', 's', 'u', 'e', 0, 0, 0, 7};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::ForkRandom(&parent, tag));
+  }
+}
+BENCHMARK(BM_ForkRandom)->Unit(benchmark::kNanosecond);
+
+// The full-domain hash alone (SHA-256 of the message, then MGF1 to the
+// modulus width): paid once per FDH sign and once per verify.
+void BM_FdhHash(benchmark::State& state) {
+  const auto& key = KeyForBits(static_cast<std::size_t>(state.range(0)));
+  const crypto::RsaPublicKey pub = key.PublicKey();
+  std::vector<std::uint8_t> msg(64, 0x5a);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::FdhHash(msg, pub));
+  }
+}
+BENCHMARK(BM_FdhHash)->Arg(2048)->Unit(benchmark::kNanosecond);
+
 void BM_ChaCha20Throughput(benchmark::State& state) {
   std::array<std::uint8_t, 32> key{};
   std::array<std::uint8_t, 12> nonce{};
@@ -235,6 +291,9 @@ P2DRM_GBENCH_JSON_MAIN("bench_crypto",
                                "1 (exp<=64b), 4 (exp<=512b), 5");
                        cfg.Bool("cpu_ifma",
                                 p2drm::bignum::ifma::CpuSupported());
+                       cfg.Bool("cpu_sha_ni", CpuReportsShaNi());
+                       cfg.Str("sha256_kernel",
+                               crypto::Sha256KernelName());
                        cfg.Str("fixed_width_powmods",
                                p2drm::bignum::DescribeKernelWidthsHit());
                        cfg.Num("scratch_heap_allocs",

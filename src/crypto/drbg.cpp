@@ -1,42 +1,38 @@
 #include "crypto/drbg.h"
 
+#include <algorithm>
 #include <random>
 
 namespace p2drm {
 namespace crypto {
 
 HmacDrbg::HmacDrbg(const std::vector<std::uint8_t>& seed)
-    : key_(32, 0x00), v_(32, 0x01) {
-  UpdateState(seed);
+    : key_(Digest256{}.data(), Digest256{}.size()) {  // K = 0x00...00
+  v_.fill(0x01);                                      // V = 0x01...01
+  UpdateState(seed.data(), seed.size());
 }
 
 HmacDrbg::HmacDrbg(const std::string& seed_label)
     : HmacDrbg(std::vector<std::uint8_t>(seed_label.begin(),
                                          seed_label.end())) {}
 
-void HmacDrbg::UpdateState(const std::vector<std::uint8_t>& provided) {
-  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  std::vector<std::uint8_t> input = v_;
-  input.push_back(0x00);
-  input.insert(input.end(), provided.begin(), provided.end());
-  Digest256 k1 = HmacSha256(key_, input);
-  key_.assign(k1.begin(), k1.end());
-  Digest256 v1 = HmacSha256(key_, v_);
-  v_.assign(v1.begin(), v1.end());
-
-  if (provided.empty()) return;
-  // K = HMAC(K, V || 0x01 || provided); V = HMAC(K, V)
-  input = v_;
-  input.push_back(0x01);
-  input.insert(input.end(), provided.begin(), provided.end());
-  Digest256 k2 = HmacSha256(key_, input);
-  key_.assign(k2.begin(), k2.end());
-  Digest256 v2 = HmacSha256(key_, v_);
-  v_.assign(v2.begin(), v2.end());
+void HmacDrbg::UpdateState(const std::uint8_t* provided, std::size_t len) {
+  // Round r (0, then 1 only when provided is non-empty):
+  //   K = HMAC(K, V || r || provided); V = HMAC(K, V)
+  for (std::uint8_t round = 0; round < 2; ++round) {
+    Sha256 inner = key_.Begin();
+    inner.Update(v_.data(), v_.size());
+    inner.Update(&round, 1);
+    inner.Update(provided, len);
+    const Digest256 k = key_.Finish(&inner);
+    key_ = HmacSha256Key(k.data(), k.size());
+    v_ = key_.Mac(v_.data(), v_.size());
+    if (len == 0) return;
+  }
 }
 
 void HmacDrbg::Reseed(const std::vector<std::uint8_t>& material) {
-  UpdateState(material);
+  UpdateState(material.data(), material.size());
 }
 
 HmacDrbg HmacDrbg::Fork(const std::vector<std::uint8_t>& domain_tag) {
@@ -55,22 +51,21 @@ HmacDrbg ForkRandom(bignum::RandomSource* parent,
   // prefix keeps (entropy, tag) pairs unambiguous, and HMAC-DRBG
   // instantiation mixes both through HMAC, so children with distinct
   // tags are computationally independent even under one parent state.
-  std::vector<std::uint8_t> seed(32);
-  parent->Fill(seed.data(), seed.size());
-  seed.insert(seed.end(), domain_tag.begin(), domain_tag.end());
+  std::vector<std::uint8_t> seed(32 + domain_tag.size());
+  parent->Fill(seed.data(), 32);
+  std::copy(domain_tag.begin(), domain_tag.end(), seed.begin() + 32);
   return HmacDrbg(seed);
 }
 
 void HmacDrbg::Fill(std::uint8_t* out, std::size_t len) {
   std::size_t produced = 0;
   while (produced < len) {
-    Digest256 v = HmacSha256(key_, v_);
-    v_.assign(v.begin(), v.end());
-    std::size_t take = std::min<std::size_t>(32, len - produced);
+    v_ = key_.Mac(v_.data(), v_.size());
+    const std::size_t take = std::min<std::size_t>(v_.size(), len - produced);
     std::copy(v_.begin(), v_.begin() + take, out + produced);
     produced += take;
   }
-  UpdateState({});
+  UpdateState(nullptr, 0);
 }
 
 void SystemRandom::Fill(std::uint8_t* out, std::size_t len) {

@@ -43,10 +43,10 @@ class HmacDrbg : public bignum::RandomSource {
   void Fill(std::uint8_t* out, std::size_t len) override;
 
  private:
-  void UpdateState(const std::vector<std::uint8_t>& provided);
+  void UpdateState(const std::uint8_t* provided, std::size_t len);
 
-  std::vector<std::uint8_t> key_;  // K, 32 bytes
-  std::vector<std::uint8_t> v_;    // V, 32 bytes
+  HmacSha256Key key_;  // K, held as its HMAC midstates
+  Digest256 v_;        // V
 };
 
 /// Forks any RandomSource: draws 32 bytes from \p parent and binds them

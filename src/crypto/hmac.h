@@ -4,6 +4,7 @@
 /// \file hmac.h
 /// \brief HMAC-SHA256 (RFC 2104) and HKDF (RFC 5869).
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -11,6 +12,30 @@
 
 namespace p2drm {
 namespace crypto {
+
+/// An HMAC-SHA256 key with its pads already absorbed: it keeps the
+/// SHA-256 chaining values after the key ^ ipad and key ^ opad blocks, so
+/// each MAC costs the message's blocks plus one outer block, not two
+/// extra pad blocks. Immutable after construction; 64 bytes to copy.
+class HmacSha256Key {
+ public:
+  HmacSha256Key(const std::uint8_t* key, std::size_t len);
+  explicit HmacSha256Key(const std::vector<std::uint8_t>& key)
+      : HmacSha256Key(key.data(), key.size()) {}
+
+  /// HMAC-SHA256(key, msg).
+  Digest256 Mac(const std::uint8_t* msg, std::size_t len) const;
+
+  /// Streaming form: Begin() returns a hasher that has absorbed the
+  /// inner pad; feed it the message in pieces, then Finish(&inner)
+  /// returns the MAC.
+  Sha256 Begin() const { return Sha256(inner_, 64); }
+  Digest256 Finish(Sha256* inner) const;
+
+ private:
+  std::array<std::uint32_t, 8> inner_;  // after the key ^ ipad block
+  std::array<std::uint32_t, 8> outer_;  // after the key ^ opad block
+};
 
 /// Computes HMAC-SHA256(key, message).
 Digest256 HmacSha256(const std::vector<std::uint8_t>& key,

@@ -1,5 +1,6 @@
 #include "crypto/rsa.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "bignum/prime.h"
@@ -146,27 +147,43 @@ BigInt RsaPrivateOp(const RsaPrivateKey& priv, const BigInt& c) {
   return m2 + h * priv.q;
 }
 
+namespace {
+
+// MGF1: out = H(seed || 0) || H(seed || 1) || ... truncated to out_len,
+// counters 32-bit big-endian. The seed is absorbed once; each counter
+// hashes from a copy of that prefix state.
+void Mgf1Into(const std::uint8_t* seed, std::size_t seed_len,
+              std::uint8_t* out, std::size_t out_len) {
+  Sha256 prefix;
+  prefix.Update(seed, seed_len);
+  std::size_t pos = 0;
+  for (std::uint32_t counter = 0; pos < out_len; ++counter) {
+    const std::uint8_t be[4] = {static_cast<std::uint8_t>(counter >> 24),
+                                static_cast<std::uint8_t>(counter >> 16),
+                                static_cast<std::uint8_t>(counter >> 8),
+                                static_cast<std::uint8_t>(counter)};
+    Sha256 h = prefix;
+    h.Update(be, sizeof(be));
+    const Digest256 d = h.Final();
+    const std::size_t take = std::min<std::size_t>(d.size(), out_len - pos);
+    std::copy(d.begin(), d.begin() + take, out + pos);
+    pos += take;
+  }
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> Mgf1Sha256(const std::vector<std::uint8_t>& seed,
                                      std::size_t out_len) {
-  std::vector<std::uint8_t> out;
-  out.reserve(out_len);
-  std::uint32_t counter = 0;
-  while (out.size() < out_len) {
-    std::vector<std::uint8_t> input = seed;
-    PutU32(&input, counter);
-    Digest256 d = Sha256::Hash(input);
-    std::size_t take = std::min<std::size_t>(32, out_len - out.size());
-    out.insert(out.end(), d.begin(), d.begin() + take);
-    ++counter;
-  }
+  std::vector<std::uint8_t> out(out_len);
+  Mgf1Into(seed.data(), seed.size(), out.data(), out_len);
   return out;
 }
 
 BigInt FdhHash(const std::vector<std::uint8_t>& msg, const RsaPublicKey& pub) {
-  std::size_t width = pub.ModulusBytes();
-  Digest256 seed_digest = Sha256::Hash(msg);
-  std::vector<std::uint8_t> seed(seed_digest.begin(), seed_digest.end());
-  std::vector<std::uint8_t> expanded = Mgf1Sha256(seed, width);
+  const Digest256 seed = Sha256::Hash(msg);
+  std::vector<std::uint8_t> expanded(pub.ModulusBytes());
+  Mgf1Into(seed.data(), seed.size(), expanded.data(), expanded.size());
   expanded[0] = 0;  // force representative < 2^(8(k-1)) <= n
   return BigInt::FromBytes(expanded);
 }

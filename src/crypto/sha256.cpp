@@ -1,6 +1,14 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "crypto/sha256_kernels.h"
+
+#if P2DRM_HAVE_SHANI_KERNEL
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace p2drm {
 namespace crypto {
@@ -24,7 +32,151 @@ inline std::uint32_t Rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+detail::Sha256CompressFn SelectKernel() {
+#if P2DRM_HAVE_SHANI_KERNEL
+  if (detail::CpuHasShaNi()) return detail::Sha256CompressShaNi;
+#endif
+  return detail::Sha256CompressPortable;
+}
+
+// Chosen once per process, the first time anything hashes (as
+// bignum::ifma::CpuSupported picks the IFMA kernel).
+detail::Sha256CompressFn Kernel() {
+  static const detail::Sha256CompressFn kernel = SelectKernel();
+  return kernel;
+}
+
 }  // namespace
+
+namespace detail {
+
+void Sha256CompressPortable(std::uint32_t* state, const std::uint8_t* blocks,
+                            std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[i * 4]) << 24) |
+             (static_cast<std::uint32_t>(blocks[i * 4 + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[i * 4 + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 =
+          Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 =
+          Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      std::uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+bool CpuHasShaNi() {
+#if P2DRM_HAVE_SHANI_KERNEL
+  static const bool supported = [] {
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+    const bool ssse3 = (ecx & bit_SSSE3) != 0;
+    const bool sse41 = (ecx & bit_SSE4_1) != 0;
+    if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+    const bool sha = (ebx & (1u << 29)) != 0;
+    return ssse3 && sse41 && sha;
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+#if P2DRM_HAVE_SHANI_KERNEL
+
+// The SHA-NI rounds keep the working variables as two vectors, ABEF and
+// CDGH; every 128-bit message vector feeds four rounds (two rnds2 of two
+// rounds each), and msg1/msg2 extend the schedule four words at a time:
+// W[t..t+3] = msg2(msg1(W[t-16..t-13], W[t-12..t-9]) + W[t-7..t-4],
+// W[t-4..t-1]).
+__attribute__((target("sha,sse4.1,ssse3"))) void Sha256CompressShaNi(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t nblocks) {
+  const __m128i kByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        w[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g)),
+            kByteSwap);
+      } else {
+        const __m128i prev = w[(g - 1) & 3];
+        const __m128i t7 = _mm_alignr_epi8(prev, w[(g - 2) & 3], 4);
+        w[g & 3] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(_mm_sha256msg1_epu32(w[g & 3], w[(g - 3) & 3]), t7),
+            prev);
+      }
+      __m128i wk = _mm_add_epi32(
+          w[g & 3],
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      wk = _mm_shuffle_epi32(wk, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // P2DRM_HAVE_SHANI_KERNEL
+
+}  // namespace detail
+
+const char* Sha256KernelName() {
+  return Kernel() == detail::Sha256CompressPortable ? "portable" : "sha-ni";
+}
 
 void Sha256::Reset() {
   state_ = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
@@ -33,78 +185,45 @@ void Sha256::Reset() {
   total_len_ = 0;
 }
 
-void Sha256::ProcessBlock(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    std::uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::Update(const std::uint8_t* data, std::size_t len) {
+  if (len == 0) return;
   total_len_ += len;
-  while (len > 0) {
-    std::size_t take = std::min(len, buffer_.size() - buffer_len_);
+  if (buffer_len_ > 0) {
+    const std::size_t take = std::min(len, buffer_.size() - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == buffer_.size()) {
-      ProcessBlock(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < buffer_.size()) return;
+    Kernel()(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  const std::size_t whole = len / 64;
+  if (whole > 0) {
+    Kernel()(state_.data(), data, whole);
+    data += whole * 64;
+    len -= whole * 64;
+  }
+  if (len > 0) {
+    std::memcpy(buffer_.data(), data, len);
+    buffer_len_ = len;
   }
 }
 
 Digest256 Sha256::Final() {
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  Update(&pad, 1);
-  std::uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  const std::uint64_t bit_len = total_len_ * 8;
+  const detail::Sha256CompressFn compress = Kernel();
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  // Bypass total_len_ bookkeeping; the length block is part of padding.
-  std::memcpy(buffer_.data() + 56, len_bytes, 8);
-  ProcessBlock(buffer_.data());
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress(state_.data(), buffer_.data(), 1);
   buffer_len_ = 0;
 
   Digest256 out;

@@ -3,6 +3,11 @@
 
 /// \file sha256.h
 /// \brief FIPS 180-4 SHA-256, incremental and one-shot.
+///
+/// Whole 64-byte blocks are compressed straight from the caller's
+/// buffer by one kernel chosen per process: the SHA-NI instructions when
+/// the CPU has them, a portable loop otherwise (docs/bignum.md,
+/// "Hashing"). Both produce the same digests.
 
 #include <array>
 #include <cstdint>
@@ -48,13 +53,22 @@ class Sha256 {
   }
 
  private:
-  void ProcessBlock(const std::uint8_t* block);
+  friend class HmacSha256Key;
+
+  /// Resumes a hash from the chaining value \p midstate reached after
+  /// \p absorbed bytes (a whole number of blocks).
+  Sha256(const std::array<std::uint32_t, 8>& midstate, std::uint64_t absorbed)
+      : state_(midstate), total_len_(absorbed) {}
 
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_ = 0;
   std::uint64_t total_len_ = 0;
 };
+
+/// Name of the compression kernel this process runs: "sha-ni" or
+/// "portable".
+const char* Sha256KernelName();
 
 /// Hex rendering of a digest (lower-case, 64 chars).
 std::string DigestToHex(const Digest256& d);

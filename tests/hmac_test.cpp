@@ -52,6 +52,43 @@ TEST(Hmac, Rfc4231Case6LongKey) {
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
+// One HmacSha256Key, built once, MACs two messages: the midstates are
+// not consumed by a MAC. RFC 4231 cases 1, 2 and 6 (a key longer than
+// the block is hashed first).
+TEST(HmacKey, Rfc4231CasesReuseOneKey) {
+  struct Case {
+    std::vector<std::uint8_t> key;
+    std::string msg;
+    const char* mac;
+  };
+  const std::string jefe = "Jefe";
+  const std::vector<Case> cases = {
+      {std::vector<std::uint8_t>(20, 0x0b), "Hi There",
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {std::vector<std::uint8_t>(jefe.begin(), jefe.end()),
+       "what do ya want for nothing?",
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {std::vector<std::uint8_t>(131, 0xaa),
+       "Test Using Larger Than Block-Size Key - Hash Key First",
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+  };
+  const std::string other = "a second message under the same key";
+  for (const Case& c : cases) {
+    const HmacSha256Key key(c.key);
+    const auto* msg = reinterpret_cast<const std::uint8_t*>(c.msg.data());
+    const auto* msg2 = reinterpret_cast<const std::uint8_t*>(other.data());
+    EXPECT_EQ(DigestToHex(key.Mac(msg, c.msg.size())), c.mac);
+    EXPECT_EQ(DigestToHex(key.Mac(msg2, other.size())),
+              DigestToHex(HmacSha256(c.key, msg2, other.size())));
+    EXPECT_EQ(DigestToHex(key.Mac(msg, c.msg.size())), c.mac);
+    // Streaming the message in two pieces gives the same MAC.
+    Sha256 inner = key.Begin();
+    inner.Update(msg, 3);
+    inner.Update(msg + 3, c.msg.size() - 3);
+    EXPECT_EQ(DigestToHex(key.Finish(&inner)), c.mac);
+  }
+}
+
 TEST(Hkdf, Rfc5869Case1) {
   std::vector<std::uint8_t> ikm(22, 0x0b);
   std::vector<std::uint8_t> salt = FromHex("000102030405060708090a0b0c");

@@ -15,6 +15,10 @@ and fails the build unless:
      exponentiation ran on the IFMA kernel, so a silent fall-back to the
      portable kernels turns CI red. Without IFMA the portable kernels are
      the only path and this check does not apply.
+  4. On a CPU with the SHA extensions (config "cpu_sha_ni": true, read
+     by the bench from cpuid), SHA-256 ran on the SHA-NI kernel (config
+     "sha256_kernel": "sha-ni"), so a silent fall-back to the portable
+     compression loop turns CI red. No timing floor applies to hashing.
 
 Usage: check_crypto_perf.py BENCH_bench_crypto.json --min-sign-ops 465
 """
@@ -78,9 +82,21 @@ def main():
             f"(fixed_width_powmods = {config.get('fixed_width_powmods')!r}); "
             "the portable kernels ran instead")
 
+    cpu_sha_ni = config.get("cpu_sha_ni")
+    sha256_kernel = config.get("sha256_kernel")
+    if sha256_kernel not in ("sha-ni", "portable"):
+        failures.append(
+            f"config.sha256_kernel = {sha256_kernel!r}, expected 'sha-ni' "
+            "or 'portable' - hashing kernel not recorded")
+    elif cpu_sha_ni is True and sha256_kernel != "sha-ni":
+        failures.append(
+            "cpu_sha_ni is true but SHA-256 ran on the "
+            f"{sha256_kernel!r} kernel, not 'sha-ni'")
+
     print(f"{args.bench}: {ops:.0f} ops/s (floor {args.min_sign_ops:.0f}), "
           f"limb_bits={config.get('bignum_limb_bits')}, "
           f"cpu_ifma={cpu_ifma}, "
+          f"cpu_sha_ni={cpu_sha_ni}, sha256_kernel={sha256_kernel}, "
           f"widths_hit={config.get('fixed_width_powmods')}")
     if failures:
         for msg in failures:
