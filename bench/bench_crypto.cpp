@@ -7,12 +7,14 @@
 // Montgomery squaring-vs-multiply kernel pair. The hashing rows
 // (SHA-256 throughput, a 4-byte HMAC-DRBG draw, a DRBG fork, the 2048-bit
 // full-domain hash) price the per-item hashing the issue and verify
-// stages pay on top of the exponentiations.
+// stages pay on top of the exponentiations. BM_RsaSignFdhMany prices a
+// group signed on the 8-lane kernel, per signature.
 
 #include <benchmark/benchmark.h>
 
 #include "gbench_json_main.h"
 
+#include <chrono>
 #include <map>
 #include <vector>
 
@@ -77,6 +79,29 @@ void BM_RsaSignFdh(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaSignFdh)->Arg(512)->Arg(1024)->Arg(2048)
     ->Unit(benchmark::kMicrosecond);
+
+// RsaSignFdhMany over range(1) distinct messages; the reported time is
+// per signature, so the rows compare directly with BM_RsaSignFdh. Groups
+// of kMb8MinLanes or more run on the 8-lane kernel (docs/bignum.md,
+// "Multi-buffer signing"); smaller ones sign one message at a time.
+void BM_RsaSignFdhMany(benchmark::State& state) {
+  const auto& key = KeyForBits(static_cast<std::size_t>(state.range(0)));
+  const std::size_t count = static_cast<std::size_t>(state.range(1));
+  std::vector<std::vector<std::uint8_t>> msgs;
+  for (std::size_t i = 0; i < count; ++i) {
+    msgs.emplace_back(64, static_cast<std::uint8_t>(0x5a + i));
+  }
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(crypto::RsaSignFdhMany(key, msgs));
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    state.SetIterationTime(dt.count() / static_cast<double>(count));
+  }
+}
+BENCHMARK(BM_RsaSignFdhMany)
+    ->Args({2048, 1})->Args({2048, 4})->Args({2048, 8})
+    ->UseManualTime()->Unit(benchmark::kMicrosecond);
 
 void BM_RsaVerifyFdh(benchmark::State& state) {
   const auto& key = KeyForBits(static_cast<std::size_t>(state.range(0)));
@@ -296,6 +321,11 @@ P2DRM_GBENCH_JSON_MAIN("bench_crypto",
                                crypto::Sha256KernelName());
                        cfg.Str("fixed_width_powmods",
                                p2drm::bignum::DescribeKernelWidthsHit());
+                       cfg.Num("powmod_mb8_passes",
+                               static_cast<double>(
+                                   p2drm::bignum::KernelStats().powmod_mb8));
+                       cfg.Num("mb8_min_lanes",
+                               static_cast<double>(crypto::kMb8MinLanes));
                        cfg.Num("scratch_heap_allocs",
                                static_cast<double>(
                                    p2drm::bignum::KernelStats().scratch_heap_allocs));)

@@ -64,6 +64,35 @@ using AmmFn = void (*)(const AmmOperands* sets, std::size_t nd);
 /// nullptr when the CPU lacks IFMA or nd is above kMaxDigits.
 AmmFn SelectAmm(std::size_t nd, std::size_t ways);
 
+/// Largest operand in digits the 8-lane kernel accepts: moduli up to
+/// 1038 bits, the CRT halves of keys up to 2048 bits. Its accumulator
+/// is nd registers, so nd = 20 already fills most of the 32 zmm
+/// registers; wider moduli use the single-set kernel.
+constexpr std::size_t kMb8MaxDigits = 20;
+
+/// Almost-Montgomery multiply over 8 lanes, one value per 64-bit lane:
+/// out = a * b * R'^-1 mod N (possibly plus N) in every lane. Operands
+/// are digit-major blocks of nd * kLanes limbs: limbs [8j, 8j + 8) hold
+/// digit j of the 8 values, so one register holds one digit of all
+/// lanes. The modulus \p n (nd digits, as for AmmOperands) and
+/// k0 = -N^-1 mod 2^52 are shared by all lanes. a and b are below 2N in
+/// normalized digits; so is out, which may alias a or b.
+using AmmMb8Fn = void (*)(Limb* out, const Limb* a, const Limb* b,
+                          const Limb* n, Limb k0);
+
+/// The 8-lane kernel for \p nd digits, or nullptr when the CPU lacks
+/// IFMA or nd is above kMb8MaxDigits.
+AmmMb8Fn SelectAmmMb8(std::size_t nd);
+
+/// 8-lane almost-Montgomery square: out = a * a * R'^-1 mod N (possibly
+/// plus N) in every lane, the same digits AmmMb8Fn(a, a) returns, at
+/// about three quarters of its multiply-adds. Same layout and bounds.
+using AmsMb8Fn = void (*)(Limb* out, const Limb* a, const Limb* n, Limb k0);
+
+/// The 8-lane square for \p nd digits, or nullptr when SelectAmmMb8(nd)
+/// is.
+AmsMb8Fn SelectAmsMb8(std::size_t nd);
+
 /// Splits \p n64 64-bit limbs into \p stride 52-bit digits (the value
 /// must fit; digits past it are zero).
 void ToDigits(Limb* out, std::size_t stride, const Limb* in, std::size_t n64);

@@ -17,6 +17,7 @@ std::atomic<std::uint64_t> powmod_window_4{0};
 std::atomic<std::uint64_t> powmod_window_5{0};
 std::atomic<std::uint64_t> powmod_ifma{0};
 std::atomic<std::uint64_t> crt_pairs{0};
+std::atomic<std::uint64_t> powmod_mb8{0};
 std::atomic<std::uint64_t> karatsuba_mults{0};
 }  // namespace kernel_stats
 
@@ -255,6 +256,7 @@ KernelStatsSnapshot KernelStats() {
   s.powmod_window_5 = ks::powmod_window_5.load(std::memory_order_relaxed);
   s.powmod_ifma = ks::powmod_ifma.load(std::memory_order_relaxed);
   s.crt_pairs = ks::crt_pairs.load(std::memory_order_relaxed);
+  s.powmod_mb8 = ks::powmod_mb8.load(std::memory_order_relaxed);
   s.karatsuba_mults = ks::karatsuba_mults.load(std::memory_order_relaxed);
   return s;
 }
@@ -265,7 +267,8 @@ std::string DescribeKernelWidthsHit() {
          ",1024:" + std::to_string(s.powmod_fixed_1024) +
          ",2048:" + std::to_string(s.powmod_fixed_2048) +
          ",generic:" + std::to_string(s.powmod_generic) +
-         ",ifma:" + std::to_string(s.powmod_ifma);
+         ",ifma:" + std::to_string(s.powmod_ifma) +
+         ",mb8:" + std::to_string(s.powmod_mb8);
 }
 
 }  // namespace bignum

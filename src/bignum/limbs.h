@@ -162,15 +162,19 @@ struct KernelStatsSnapshot {
   std::uint64_t powmod_ifma = 0;      // exponentiations on the IFMA kernel
                                       // (also counted in their width bucket)
   std::uint64_t crt_pairs = 0;        // PowModCrtPair calls run as one pass
+  std::uint64_t powmod_mb8 = 0;       // PowModMb8 passes (up to 8 lanes
+                                      // each; every lane is also counted
+                                      // in its width bucket)
   std::uint64_t karatsuba_mults = 0;  // MulN calls that went Karatsuba
 };
 
 /// Point-in-time snapshot of the global kernel counters.
 KernelStatsSnapshot KernelStats();
 
-/// "512:<n>,1024:<n>,2048:<n>,generic:<n>,ifma:<n>" — which width
-/// buckets the exponentiations fell in, and how many of them ran on the
-/// IFMA kernel; for bench config blocks.
+/// "512:<n>,1024:<n>,2048:<n>,generic:<n>,ifma:<n>,mb8:<n>" — which
+/// width buckets the exponentiations fell in, how many of them ran on
+/// the single/pair IFMA kernel, and how many 8-lane passes ran; for
+/// bench config blocks.
 std::string DescribeKernelWidthsHit();
 
 namespace kernel_stats {
@@ -185,6 +189,7 @@ extern std::atomic<std::uint64_t> powmod_window_4;
 extern std::atomic<std::uint64_t> powmod_window_5;
 extern std::atomic<std::uint64_t> powmod_ifma;
 extern std::atomic<std::uint64_t> crt_pairs;
+extern std::atomic<std::uint64_t> powmod_mb8;
 extern std::atomic<std::uint64_t> karatsuba_mults;
 }  // namespace kernel_stats
 

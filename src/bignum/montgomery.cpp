@@ -293,6 +293,78 @@ class IfmaKernel {
   Limb* tmp_[W];
 };
 
+// The 8-lane kernels (ifma.h, AmmMb8Fn and AmsMb8Fn) over one modulus,
+// as one way whose value is a digit-major block of 8 values: Stride() is
+// nd * 8 limbs. In ordinary form the way is `lanes` values of `width` limbs
+// back to back; the lanes past them enter as 0 and are never read out.
+// Values between steps are below 2N, as for IfmaKernel.
+class IfmaMb8Kernel {
+ public:
+  static constexpr std::size_t kWays = 1;
+
+  IfmaMb8Kernel(ifma::AmmMb8Fn amm, ifma::AmsMb8Fn ams, std::size_t nd,
+                const IfmaWay& way, std::size_t lanes, Scratch* scratch)
+      : amm_(amm), ams_(ams), nd_(nd), way_(way), lanes_(lanes),
+        one_(AllocAligned(scratch, Stride())),
+        r2_(AllocAligned(scratch, Stride())),
+        unit_(AllocAligned(scratch, Stride())),
+        tmp_(AllocAligned(scratch, Stride())),
+        digits_(scratch->Alloc(ifma::StrideFor(nd))) {
+    for (std::size_t j = 0; j < nd_; ++j) {
+      for (std::size_t l = 0; l < ifma::kLanes; ++l) {
+        one_[j * ifma::kLanes + l] = way_.one[j];
+        r2_[j * ifma::kLanes + l] = way_.r2[j];
+        unit_[j * ifma::kLanes + l] = j == 0 ? 1 : 0;
+      }
+    }
+  }
+
+  std::size_t Stride() const { return nd_ * ifma::kLanes; }
+  const Limb* One(std::size_t /*way*/) const { return one_; }
+  void Mul(Limb* const* out, const Limb* const* a, const Limb* const* b) const {
+    amm_(out[0], a[0], b[0], way_.n52, way_.k0);
+  }
+  void Sqr(Limb* const* out, const Limb* const* a) const {
+    ams_(out[0], a[0], way_.n52, way_.k0);
+  }
+  void Enter(Limb* const* out, const Limb* const* base) const {
+    std::memset(tmp_, 0, Stride() * sizeof(Limb));
+    for (std::size_t l = 0; l < lanes_; ++l) {
+      ifma::ToDigits(digits_, ifma::StrideFor(nd_), base[0] + l * way_.width,
+                     way_.width);
+      for (std::size_t j = 0; j < nd_; ++j) {
+        tmp_[j * ifma::kLanes + l] = digits_[j];
+      }
+    }
+    amm_(out[0], tmp_, r2_, way_.n52, way_.k0);
+  }
+  void Leave(Limb* const* out, const Limb* const* acc) const {
+    amm_(tmp_, acc[0], unit_, way_.n52, way_.k0);
+    for (std::size_t l = 0; l < lanes_; ++l) {
+      for (std::size_t j = 0; j < nd_; ++j) {
+        digits_[j] = tmp_[j * ifma::kLanes + l];
+      }
+      Limb* lane = out[0] + l * way_.width;
+      ifma::FromDigits(lane, way_.width, digits_, nd_);
+      if (CmpN(lane, way_.n64, way_.width) >= 0) {
+        SubN(lane, lane, way_.n64, way_.width);
+      }
+    }
+  }
+
+ private:
+  ifma::AmmMb8Fn amm_;
+  ifma::AmsMb8Fn ams_;
+  std::size_t nd_;
+  IfmaWay way_;
+  std::size_t lanes_;
+  Limb* one_;     // R' mod N in every lane
+  Limb* r2_;      // R'^2 mod N in every lane
+  Limb* unit_;    // 1 in every lane
+  Limb* tmp_;     // digit-major staging block
+  Limb* digits_;  // one lane's digits
+};
+
 // Bit \p pos of an exponent (zero past its end).
 unsigned ExpBit(LimbSpan exp, std::size_t pos) {
   return pos / 64 < exp.len ? (exp.ptr[pos / 64] >> (pos % 64)) & 1u : 0u;
@@ -449,6 +521,8 @@ Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
   amm_fn_ = ifma::SelectAmm(nd, 1);
   if (amm_fn_ != nullptr) {
     amm_pair_fn_ = ifma::SelectAmm(nd, 2);
+    amm_mb8_fn_ = ifma::SelectAmmMb8(nd);
+    ams_mb8_fn_ = ifma::SelectAmsMb8(nd);
     nd_ = nd;
     k0_ = n0_inv_ & ifma::kDigitMask;
     const std::size_t stride = ifma::StrideFor(nd);
@@ -550,6 +624,22 @@ void Montgomery::PowModLimbs(Limb* out, const Limb* base, LimbSpan exp,
                             one_mont_.data(), r2_.data(), scratch);
     WindowedPowMod(kernel, &out, &base, &exp, scratch);
   }
+}
+
+void Montgomery::PowModMb8(Limb* out, const Limb* base, std::size_t lanes,
+                           LimbSpan exp, Scratch* scratch) const {
+  if (amm_mb8_fn_ == nullptr || lanes == 0 || lanes > ifma::kLanes) {
+    throw std::logic_error("Montgomery::PowModMb8: no 8-lane kernel here");
+  }
+  namespace ks = kernel_stats;
+  for (std::size_t l = 0; l < lanes; ++l) CountWidth(n_);
+  ks::powmod_mb8.fetch_add(1, std::memory_order_relaxed);
+  Scratch::Frame frame(scratch);
+  const IfmaWay way{n52_.data(), k0_, one52_.data(), r2_52_.data(),
+                    n64_.data(), n_};
+  const IfmaMb8Kernel kernel(amm_mb8_fn_, ams_mb8_fn_, nd_, way, lanes,
+                             scratch);
+  WindowedPowMod(kernel, &out, &base, &exp, scratch);
 }
 
 void PowModCrtPair(const Montgomery& mont_p, const Montgomery& mont_q,

@@ -14,7 +14,8 @@
 /// of RsaPrivateKey / BatchVerifier). On CPUs with AVX-512 IFMA, PowMod
 /// runs instead on a radix-2^52 almost-Montgomery kernel (ifma.h), and
 /// PowModCrtPair runs both CRT halves of a private operation in one
-/// interleaved pass. PowMod uses a windowed table (4- or 5-bit by
+/// interleaved pass, and PowModMb8 runs eight exponentiations that share
+/// an exponent, one per lane of an 8-lane kernel. PowMod uses a windowed table (4- or 5-bit by
 /// exponent size; a plain binary ladder for exponents of 64 bits or
 /// less) living entirely in scratch; the span-level entry points are
 /// allocation-free once the caller's Scratch is warm. See docs/bignum.md.
@@ -80,6 +81,21 @@ class Montgomery {
   void PowModLimbs(Limb* out, const Limb* base, LimbSpan exp,
                    Scratch* scratch) const;
 
+  /// True when PowModMb8 can run: the CPU has IFMA and the modulus has
+  /// at most ifma::kMb8MaxDigits 52-bit digits (up to 1038 bits).
+  bool HasMb8() const { return amm_mb8_fn_ != nullptr; }
+
+  /// out[l] = base[l]^exp mod N for every lane l < \p lanes (1..8), all
+  /// sharing one exponent, in one pass of the 8-lane IFMA kernel
+  /// (ifma::AmmMb8Fn). \p base and \p out hold \p lanes values of
+  /// width() limbs back to back, lane l at l * width(); every base is
+  /// below N, and out may alias base. The windowed loop is PowModLimbs'
+  /// own: the exponent is shared, so every lane reads the same table
+  /// index at every window. Requires HasMb8(). The results are the
+  /// integers PowModLimbs returns lane by lane.
+  void PowModMb8(Limb* out, const Limb* base, std::size_t lanes, LimbSpan exp,
+                 Scratch* scratch) const;
+
   /// Packs a non-negative BigInt < N into width() limbs.
   /// Throws std::domain_error if out of range.
   void Load(Limb* out, const BigInt& a) const;
@@ -126,6 +142,8 @@ class Montgomery {
   std::vector<Limb> r2_52_;     // R'^2 mod N
   ifma::AmmFn amm_fn_ = nullptr;       // one operand set
   ifma::AmmFn amm_pair_fn_ = nullptr;  // two sets in one loop (CRT pair)
+  ifma::AmmMb8Fn amm_mb8_fn_ = nullptr;  // 8 lanes, shared N (PowModMb8)
+  ifma::AmsMb8Fn ams_mb8_fn_ = nullptr;  // its square
 };
 
 /// The two halves of an RSA-CRT private operation:

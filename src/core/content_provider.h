@@ -304,24 +304,32 @@ class ContentProvider {
     Status status = Status::kBadRequest;
     rel::License license;  ///< valid when status == kOk
     RedemptionTranscript transcript;  ///< signed when kAlreadySpent
-    /// Double redemption whose first record was in the map unsigned at
-    /// issue time: a signed copy of it, for CommitRedemption to store.
+    /// Double redemption chosen to sign the first record, which was in
+    /// the map unsigned at draw time: a signed copy of it, for
+    /// CommitRedemption to store.
     std::optional<RedemptionTranscript> signed_first;
   };
 
-  /// Pure part of license issuance: fresh id, content-key wrapping and
-  /// issuer signature, drawing randomness only from \p rng. Const and
-  /// thread-safe against concurrent callers (reads catalog_/key_/clock_,
-  /// which never change during a batch); pair with RecordIssued on the
-  /// dispatch thread.
-  rel::License BuildLicense(rel::LicenseKind kind, rel::ContentId content_id,
-                            const rel::Rights& rights,
-                            const crypto::RsaPublicKey* bound_key,
-                            bignum::RandomSource* rng) const;
+  /// The provider-key messages of one issue group, signed in one
+  /// crypto::RsaSignFdhMany call (defined in content_provider.cpp).
+  class SigningGroup;
+
+  /// Pure part of license issuance, without the signature: fresh id and
+  /// content-key wrapping, drawing randomness only from \p rng. Const and
+  /// thread-safe against concurrent callers (reads catalog_/clock_,
+  /// which never change during a batch); the issue stage signs the body
+  /// (SigningGroup) and RecordIssued runs on the dispatch thread.
+  rel::License LicenseBody(rel::LicenseKind kind, rel::ContentId content_id,
+                           const rel::Rights& rights,
+                           const crypto::RsaPublicKey* bound_key,
+                           bignum::RandomSource* rng) const;
+  /// Signs one license body: the single-item paths, a group of one.
+  void SignLicenseAlone(rel::License* lic) const;
   /// State-mutating part of issuance: issued-key map + counters.
   void RecordIssued(const rel::License& license,
                     const crypto::RsaPublicKey* bound_key);
-  /// Dispatch-thread convenience: BuildLicense(rng_) + RecordIssued.
+  /// Dispatch-thread convenience: LicenseBody(rng_), its signature and
+  /// RecordIssued.
   rel::License IssueLicense(rel::LicenseKind kind, rel::ContentId content_id,
                             const rel::Rights& rights,
                             const crypto::RsaPublicKey* bound_key);
@@ -348,15 +356,20 @@ class ContentProvider {
   std::vector<Status> SpendEligible(
       const std::vector<std::size_t>& eligible,
       const std::function<const rel::LicenseId&(std::size_t)>& id_of);
-  /// Pure signing stage of one redemption. Fresh (\p spend_status kOk):
-  /// signs the license only, and the transcript stays unsigned. Double
-  /// (kAlreadySpent): signs its own transcript, plus a copy of the first
-  /// record when the map still holds it unsigned. Const and thread-safe
-  /// (runs on signer threads, and only reads redemption_transcripts_,
-  /// which commits write after the issue stage has joined); all
-  /// randomness comes from \p rng.
-  IssuedRedemption SignRedemption(const RedeemItem& item, Status spend_status,
-                                  bignum::RandomSource* rng) const;
+  /// Pure issue stage of one redemption: builds \p out and adds the
+  /// messages it needs signed to \p sigs, which the caller signs for
+  /// the whole group. Fresh (\p spend_status kOk): the license only; the
+  /// transcript stays unsigned. Double (kAlreadySpent): its own
+  /// transcript, plus a copy of the stored first record when
+  /// \p sign_first (the record is unsigned and no earlier double of the
+  /// batch signs it). Const and thread-safe (runs on signer threads, and
+  /// only reads redemption_transcripts_, which commits write after the
+  /// issue stage has joined); all randomness comes from \p rng.
+  void BuildRedemption(const RedeemItem& item, Status spend_status,
+                       bignum::RandomSource* rng, bool sign_first,
+                       IssuedRedemption* out, SigningGroup* sigs) const;
+  /// True when \p id's stored first redemption record is still unsigned.
+  bool FirstRecordUnsigned(const rel::LicenseId& id) const;
   /// State-mutating stage of one redemption: transcript map, fraud
   /// evidence, pseudonym bookkeeping, issued-key map. Dispatch thread
   /// only, in item-index order. A double stores the signed first record

@@ -49,6 +49,14 @@ bignum::LimbSpan PackExponent(const BigInt& e, bignum::Scratch* scratch) {
   return bignum::LimbSpan{out, n};
 }
 
+// Garner's recombination: m = m2 + q * (qinv * (m1 - m2) mod p), from
+// m1 = c^dp mod p and m2 = c^dq mod q.
+BigInt CrtCombine(const RsaPrivateKey& priv, const BigInt& m1,
+                  const BigInt& m2) {
+  BigInt h = priv.qinv.MulMod(m1.SubMod(m2.Mod(priv.p), priv.p), priv.p);
+  return m2 + h * priv.q;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> RsaPublicKey::Serialize() const {
@@ -143,8 +151,7 @@ BigInt RsaPrivateOp(const RsaPrivateKey& priv, const BigInt& c) {
     m1 = c.Mod(priv.p).PowMod(priv.dp, priv.p);
     m2 = c.Mod(priv.q).PowMod(priv.dq, priv.q);
   }
-  BigInt h = priv.qinv.MulMod(m1.SubMod(m2.Mod(priv.p), priv.p), priv.p);
-  return m2 + h * priv.q;
+  return CrtCombine(priv, m1, m2);
 }
 
 namespace {
@@ -194,6 +201,51 @@ std::vector<std::uint8_t> RsaSignFdh(const RsaPrivateKey& priv,
   BigInt m = FdhHash(msg, pub);
   BigInt s = RsaPrivateOp(priv, m);
   return s.ToBytesPadded(pub.ModulusBytes());
+}
+
+std::vector<std::vector<std::uint8_t>> RsaSignFdhMany(
+    const RsaPrivateKey& priv,
+    const std::vector<std::vector<std::uint8_t>>& msgs) {
+  std::vector<std::vector<std::uint8_t>> out(msgs.size());
+  const bool mb8 = priv.crt != nullptr && priv.crt->mont_p.HasMb8() &&
+                   priv.crt->mont_q.HasMb8();
+  const RsaPublicKey pub = priv.PublicKey();
+  for (std::size_t begin = 0; begin < msgs.size();
+       begin += bignum::ifma::kLanes) {
+    const std::size_t lanes =
+        std::min<std::size_t>(bignum::ifma::kLanes, msgs.size() - begin);
+    if (!mb8 || lanes < kMb8MinLanes) {
+      for (std::size_t i = begin; i < begin + lanes; ++i) {
+        out[i] = RsaSignFdh(priv, msgs[i]);
+      }
+      continue;
+    }
+    // One pass per CRT half: lane l holds FdhHash(msgs[begin + l]) mod p
+    // (mod q), and every lane shares dp (dq).
+    const bignum::Montgomery& mont_p = priv.crt->mont_p;
+    const bignum::Montgomery& mont_q = priv.crt->mont_q;
+    const std::size_t wp = mont_p.width();
+    const std::size_t wq = mont_q.width();
+    bignum::Scratch* scratch = &bignum::TlsScratch();
+    bignum::Scratch::Frame frame(scratch);
+    bignum::Limb* half_p = scratch->Alloc(lanes * wp);
+    bignum::Limb* half_q = scratch->Alloc(lanes * wq);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const BigInt m = FdhHash(msgs[begin + l], pub);
+      mont_p.Load(half_p + l * wp, m.Mod(priv.p));
+      mont_q.Load(half_q + l * wq, m.Mod(priv.q));
+    }
+    mont_p.PowModMb8(half_p, half_p, lanes, PackExponent(priv.dp, scratch),
+                     scratch);
+    mont_q.PowModMb8(half_q, half_q, lanes, PackExponent(priv.dq, scratch),
+                     scratch);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const BigInt s = CrtCombine(priv, mont_p.Unload(half_p + l * wp),
+                                  mont_q.Unload(half_q + l * wq));
+      out[begin + l] = s.ToBytesPadded(pub.ModulusBytes());
+    }
+  }
+  return out;
 }
 
 bool RsaVerifyFdh(const RsaPublicKey& pub, const std::vector<std::uint8_t>& msg,

@@ -5,6 +5,11 @@
 namespace p2drm {
 namespace server {
 
+std::size_t IssueGroupSize(std::size_t live, std::size_t signers) {
+  signers = std::max<std::size_t>(signers, 1);
+  return std::min((live + signers - 1) / signers, kMaxIssueGroup);
+}
+
 std::uint64_t BatchPipeline::Now() const {
   return cfg_.now_us != nullptr ? cfg_.now_us() : SteadyNowUs();
 }
@@ -44,8 +49,11 @@ BatchPipelineTimings BatchPipeline::Run(const Plan& plan,
   // Partition into the live set (kOk, plus whatever `proceed` admits)
   // and rejections. kOverloaded can never proceed: a shed item must
   // leave no trace beyond its status.
-  std::vector<std::size_t> live;  // indices into eligible
-  live.reserve(eligible.size());
+  // Live item k's batch index and mutate status, ascending k.
+  std::vector<std::size_t> live_items;
+  std::vector<core::Status> live_status;
+  live_items.reserve(eligible.size());
+  live_status.reserve(eligible.size());
   for (std::size_t j = 0; j < eligible.size(); ++j) {
     core::Status s = mutated[j];
     bool proceeds =
@@ -53,45 +61,53 @@ BatchPipelineTimings BatchPipeline::Run(const Plan& plan,
         (s != core::Status::kOverloaded && plan.proceed != nullptr &&
          plan.proceed(s));
     if (proceeds) {
-      live.push_back(j);
+      live_items.push_back(eligible[j]);
+      live_status.push_back(s);
       continue;
     }
     if (s == core::Status::kOverloaded) ++t.shed;
     if (plan.reject != nullptr) plan.reject(eligible[j], s);
   }
-  t.committed = live.size();
+  const std::size_t live = live_items.size();
+  t.committed = live;
 
   // Stage 3 — issue: forks on the dispatch thread, ascending k, then the
-  // items run on the pool and the joining dispatch thread. Each item
+  // groups run on the pool and the joining dispatch thread. Each group
   // samples the stage clock around its own work: the sample accrues on
   // its signer's clock and the latest end closes the batch's issue span.
   const std::uint64_t issue_t0 = Now();
-  if (plan.begin_issue != nullptr) plan.begin_issue(live.size());
+  if (plan.begin_issue != nullptr) plan.begin_issue(live);
   if (plan.draw_fork != nullptr) {
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      plan.draw_fork(k, eligible[live[k]]);
-    }
+    for (std::size_t k = 0; k < live; ++k) plan.draw_fork(k, live_items[k]);
   }
-  auto issue = [&](std::size_t k) {
-    std::size_t j = live[k];
-    plan.issue(k, eligible[j], mutated[j]);
+  const std::size_t signers =
+      cfg_.pool != nullptr ? cfg_.pool->worker_count() + 1 : 1;
+  const std::size_t group = IssueGroupSize(live, signers);
+  const std::size_t groups = group == 0 ? 0 : (live + group - 1) / group;
+  auto issue = [&](std::size_t g) {
+    IssueRange range;
+    range.begin = g * group;
+    range.end = std::min(live, range.begin + group);
+    range.items = live_items.data();
+    range.statuses = live_status.data();
+    plan.issue(range);
   };
   if (tracer != nullptr) tracer->Begin(pobs->span_issue);
   std::uint64_t issue_end;
-  if (cfg_.pool != nullptr && plan.issue != nullptr && !live.empty()) {
-    // Per-k issue end, written by whichever thread ran item k.
-    std::vector<std::uint64_t> item_end_us(live.size());
-    cfg_.pool->Run(live.size(), [&](SignerContext& ctx, std::size_t k) {
+  if (cfg_.pool != nullptr && plan.issue != nullptr && groups > 0) {
+    // Per-group issue end, written by whichever thread ran group g.
+    std::vector<std::uint64_t> group_end_us(groups);
+    cfg_.pool->Run(groups, [&](SignerContext& ctx, std::size_t g) {
       std::uint64_t t0 = Now();
-      issue(k);
+      issue(g);
       std::uint64_t t1 = Now();
       ctx.AccrueSimClockUs(t1 - t0);
-      item_end_us[k] = t1;
+      group_end_us[g] = t1;
     });
-    issue_end = *std::max_element(item_end_us.begin(), item_end_us.end());
+    issue_end = *std::max_element(group_end_us.begin(), group_end_us.end());
   } else {
     if (plan.issue != nullptr) {
-      for (std::size_t k = 0; k < live.size(); ++k) issue(k);
+      for (std::size_t g = 0; g < groups; ++g) issue(g);
     }
     issue_end = Now();
   }
@@ -101,9 +117,8 @@ BatchPipelineTimings BatchPipeline::Run(const Plan& plan,
 
   // Commit tail — dispatch thread, ascending k.
   if (plan.commit != nullptr) {
-    for (std::size_t k = 0; k < live.size(); ++k) {
-      std::size_t j = live[k];
-      plan.commit(k, eligible[j], mutated[j]);
+    for (std::size_t k = 0; k < live; ++k) {
+      plan.commit(k, live_items[k], live_status[k]);
     }
   }
 

@@ -19,21 +19,24 @@
 ///      `reject`, and never reaches the issue or commit stages — by
 ///      construction a shed item has no server-side trace and the
 ///      client may retry it verbatim.
-///   3. **issue** — per-item private-key work. `draw_fork` first runs on
-///      the dispatch thread for every live item in index order — the
-///      fork-drawing rule that makes parallel issuance bit-identical to
-///      serial under a fixed DRBG seed — then the items are dealt to the
-///      signer pool, when there is one.
+///   3. **issue** — private-key work over groups of live items.
+///      `draw_fork` first runs on the dispatch thread for every live item
+///      in index order — the fork-drawing rule that makes parallel
+///      issuance bit-identical to serial under a fixed DRBG seed — then
+///      the live items are cut into contiguous groups of at most
+///      kMaxIssueGroup (IssueGroupSize) and the groups are dealt to the
+///      signer pool, when there is one. A flow signs each group's
+///      provider-key messages in one crypto::RsaSignFdhMany call.
 ///   4. **commit** — applies the result mutations on the dispatch
 ///      thread, in index order, once every issue item has finished.
 ///
 /// `Run(plan)` is one blocking call through all four stages:
 ///
-///   verify -> mutate -> reject/shed -> draw_fork -> issue (SignerPool::Run:
-///   the dispatch thread signs the batch's not-yet-started items, then
-///   waits) -> commit tail
+///   verify -> mutate -> reject/shed -> draw_fork -> issue (SignerPool::Run
+///   over the groups: the dispatch thread signs the batch's
+///   not-yet-started groups, then waits) -> commit tail
 ///
-/// With no pool, every issue item runs on the dispatch thread. A batch
+/// With no pool, every issue group runs on the dispatch thread. A batch
 /// is finished when Run returns; no state outlives the call.
 ///
 /// Ordering and determinism contract:
@@ -78,7 +81,7 @@ inline std::uint64_t SteadyNowUs() {
 /// Per-stage timings of one batch (microseconds): `verify_us` and
 /// `mutate_us` are the dispatch thread's wall spans of those stages;
 /// `issue_us` runs from the start of the fork draw to the end of the
-/// batch's last issue item; `makespan_us` runs from verify start to that
+/// batch's last issue group; `makespan_us` runs from verify start to that
 /// issue end (the commit tail is excluded). Busy signing time lives only
 /// on the signer clocks (SignerPool::WorkerSimClockUs /
 /// JoinerSimClockUs).
@@ -110,6 +113,31 @@ struct PipelineObs {
   obs::Registry::Id hist_issue_us = 0;
   obs::Registry::Id ctr_items = 0;
   obs::Registry::Id ctr_shed = 0;
+};
+
+/// Most live items in one issue group: one pass of the 8-lane signing
+/// kernel (crypto::RsaSignFdhMany, bignum::Montgomery::PowModMb8).
+constexpr std::size_t kMaxIssueGroup = 8;
+
+/// Live items per issue group for \p live items on \p signers signers
+/// (pool workers plus the joining dispatch thread; 1 without a pool):
+/// ceil(live / signers), capped at kMaxIssueGroup. Every signer gets a
+/// group before any gets a second, and a group never exceeds one
+/// signing pass: 32 items on 4 signers make four groups of 8, and a
+/// one-item batch is one group of one.
+std::size_t IssueGroupSize(std::size_t live, std::size_t signers);
+
+/// One issue group: live items k in [begin, end), ascending, with each
+/// one's batch index and mutate status. The arrays are indexed by k
+/// and stay valid for the whole issue stage.
+struct IssueRange {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  const std::size_t* items = nullptr;      ///< items[k]: batch index of k
+  const core::Status* statuses = nullptr;  ///< statuses[k]: its mutate status
+
+  std::size_t item(std::size_t k) const { return items[k]; }
+  core::Status status(std::size_t k) const { return statuses[k]; }
 };
 
 /// Orchestrates batches through verify -> mutate -> issue -> commit. Not
@@ -152,12 +180,11 @@ class BatchPipeline {
     /// bit-identical serial/parallel guarantee rests on.
     std::function<void(std::size_t k, std::size_t item)> draw_fork;
 
-    /// Stage 3 work for live item k. Runs on a pool worker or the
-    /// joining dispatch thread — possibly concurrently — and must write
-    /// only disjoint per-k state.
-    std::function<void(std::size_t k, std::size_t item,
-                       core::Status mutate_status)>
-        issue;
+    /// Stage 3 work for one issue group (a contiguous range of live
+    /// items, IssueRange). Runs on a pool worker or the joining dispatch
+    /// thread — groups possibly concurrently — and must write only the
+    /// per-k state of its own range.
+    std::function<void(const IssueRange& range)> issue;
 
     /// Commit tail for live item k: dispatch thread, ascending k.
     std::function<void(std::size_t k, std::size_t item,
@@ -170,7 +197,7 @@ class BatchPipeline {
   };
 
   struct Config {
-    /// Issue target. Null runs every issue item on the dispatch thread.
+    /// Issue target. Null runs every issue group on the dispatch thread.
     SignerPool* pool = nullptr;
 
     /// Stage-timing clock (null = SteadyNowUs).
@@ -183,7 +210,7 @@ class BatchPipeline {
   BatchPipeline& operator=(const BatchPipeline&) = delete;
 
   /// Runs \p plan through verify -> mutate -> reject/shed -> draw_fork ->
-  /// issue -> commit on the calling thread (issue items also on the
+  /// issue -> commit on the calling thread (issue groups also on the
   /// pool) and returns the batch's timings. \p pobs, when non-null,
   /// receives the batch's spans and histograms.
   BatchPipelineTimings Run(const Plan& plan,

@@ -85,7 +85,8 @@ struct SignerContext {
 /// Run.
 class SignerPool {
  public:
-  /// One unit of issue work: item k of its batch, run on some worker.
+  /// One unit of issue work: item k of its batch (for the batch
+  /// pipeline, one issue group), run on some worker.
   using Job = std::function<void(SignerContext& ctx, std::size_t k)>;
 
   /// Spawns \p worker_count workers (clamped to at least 1).

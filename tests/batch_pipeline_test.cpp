@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <algorithm>
 #include <future>
+#include <mutex>
 #include <regex>
 #include <string>
 #include <vector>
@@ -87,10 +89,11 @@ TEST(BatchPipelineStages, ShedsAtMutateOnlyAndSkipsShedItems) {
     EXPECT_EQ(k, forked.size());  // ascending k, dispatch-side
     forked.push_back(i);
   };
-  plan.issue = [&](std::size_t k, std::size_t i, Status s) {
-    (void)k;
-    EXPECT_NE(s, Status::kOverloaded);
-    issued.push_back(i);
+  plan.issue = [&](const server::IssueRange& range) {
+    for (std::size_t k = range.begin; k < range.end; ++k) {
+      EXPECT_NE(range.status(k), Status::kOverloaded);
+      issued.push_back(range.item(k));
+    }
   };
   plan.commit = [&](std::size_t k, std::size_t i, Status) {
     (void)k;
@@ -133,7 +136,7 @@ TEST(BatchPipelineStages, OverloadedNeverProceedsEvenIfFlowSaysSo) {
     return std::vector<Status>{Status::kOverloaded};
   };
   plan.proceed = [](Status) { return true; };  // hostile flow
-  plan.issue = [&](std::size_t, std::size_t, Status) { issued = true; };
+  plan.issue = [&](const server::IssueRange&) { issued = true; };
   plan.reject = [&](std::size_t, Status s) {
     rejected = true;
     EXPECT_EQ(s, Status::kOverloaded);
@@ -143,6 +146,64 @@ TEST(BatchPipelineStages, OverloadedNeverProceedsEvenIfFlowSaysSo) {
   EXPECT_FALSE(issued);
   EXPECT_TRUE(rejected);
   EXPECT_EQ(t.shed, 1u);
+}
+
+TEST(BatchPipelineStages, IssueGroupSizeGivesEverySignerAGroupFirst) {
+  // 32 items on 3 workers plus the joiner: four full 8-item passes.
+  EXPECT_EQ(server::IssueGroupSize(32, 4), 8u);
+  EXPECT_EQ(server::IssueGroupSize(64, 4), 8u);  // capped at one pass
+  EXPECT_EQ(server::IssueGroupSize(12, 4), 3u);
+  EXPECT_EQ(server::IssueGroupSize(1, 4), 1u);   // a one-item purchase
+  EXPECT_EQ(server::IssueGroupSize(5, 1), 5u);   // no pool: one signer
+  EXPECT_EQ(server::IssueGroupSize(20, 1), server::kMaxIssueGroup);
+  EXPECT_EQ(server::IssueGroupSize(0, 4), 0u);
+}
+
+TEST(BatchPipelineStages, IssueRunsContiguousRangesOfLiveItems) {
+  // 34 items, item 3 rejected at verify: 33 live items on a 3-worker
+  // pool (4 signers) make groups of 8, 8, 8, 8 and 1, each a contiguous
+  // k range carrying its items' batch indices and mutate statuses.
+  server::SignerPool pool(3);
+  server::BatchPipeline::Config cfg;
+  cfg.pool = &pool;
+  server::BatchPipeline pipeline(cfg);
+  server::BatchPipeline::Plan plan;
+  plan.item_count = 34;
+  plan.verify = [] {
+    std::vector<std::size_t> eligible;
+    for (std::size_t i = 0; i < 34; ++i) {
+      if (i != 3) eligible.push_back(i);
+    }
+    return eligible;
+  };
+  plan.mutate = [](const std::vector<std::size_t>& eligible) {
+    std::vector<Status> st(eligible.size(), Status::kOk);
+    st[5] = Status::kAlreadySpent;  // item 6 proceeds as a double
+    return st;
+  };
+  plan.proceed = [](Status s) { return s == Status::kAlreadySpent; };
+  std::mutex m;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  std::vector<std::size_t> seen_item(33, 99);
+  std::vector<Status> seen_status(33, Status::kBadRequest);
+  plan.issue = [&](const server::IssueRange& range) {
+    for (std::size_t k = range.begin; k < range.end; ++k) {
+      seen_item[k] = range.item(k);
+      seen_status[k] = range.status(k);
+    }
+    std::lock_guard<std::mutex> lk(m);
+    ranges.emplace_back(range.begin, range.end);
+  };
+  auto t = pipeline.Run(plan);
+  EXPECT_EQ(t.committed, 33u);
+  std::sort(ranges.begin(), ranges.end());
+  EXPECT_EQ(ranges, (std::vector<std::pair<std::size_t, std::size_t>>{
+                        {0, 8}, {8, 16}, {16, 24}, {24, 32}, {32, 33}}));
+  for (std::size_t k = 0; k < 33; ++k) {
+    EXPECT_EQ(seen_item[k], k < 3 ? k : k + 1) << "k=" << k;
+    EXPECT_EQ(seen_status[k], k == 5 ? Status::kAlreadySpent : Status::kOk)
+        << "k=" << k;
+  }
 }
 
 // -- exchange batch ----------------------------------------------------------

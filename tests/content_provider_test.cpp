@@ -454,6 +454,34 @@ TEST_F(LazyTranscriptTest, FirstDoubleSignsTwiceAndLaterDoublesOnce) {
   EXPECT_EQ(pooled_.DoubleRedemptionAttempts(), 2u);
 }
 
+TEST_F(LazyTranscriptTest, TwoDoublesInOneBatchSignTheFirstRecordOnce) {
+  const rel::License bearer = NewBearer();
+  std::vector<ContentProvider::PurchaseResult> out;
+  ASSERT_EQ(SignsOf({{bearer, taker_->cert}}, &out), 1u);
+  ASSERT_EQ(out[0].status, Status::kOk);
+
+  // Both doubles sign their own transcripts; the stored first record is
+  // still unsigned, and only the first double signs it: 3 signatures,
+  // not 4. The second double takes the signed copy at commit.
+  clock_.Advance(10);
+  Pseudonym* cheat = NewPseudonym(&cheat_card_);
+  Pseudonym* cheat2 = NewPseudonym(&cheat_card_);
+  EXPECT_EQ(SignsOf({{bearer, cheat->cert}, {bearer, cheat2->cert}}, &out),
+            3u);
+  ASSERT_EQ(out[0].status, Status::kAlreadySpent);
+  ASSERT_EQ(out[1].status, Status::kAlreadySpent);
+  auto evidence = pooled_.TakeFraudEvidence();
+  ASSERT_EQ(evidence.size(), 2u);
+  ExpectEvidenceNamesCheater(evidence[0], bearer.id);
+  ExpectEvidenceNamesCheater(evidence[1], bearer.id);
+  EXPECT_EQ(evidence[0].first.Serialize(), evidence[1].first.Serialize());
+  EXPECT_NE(evidence[0].second.Serialize(), evidence[1].second.Serialize());
+  auto first = pooled_.TranscriptFor(bearer.id);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->Serialize(), evidence[0].first.Serialize());
+  EXPECT_EQ(pooled_.DoubleRedemptionAttempts(), 2u);
+}
+
 TEST_F(LazyTranscriptTest, DoubleInsideTheFirstRedemptionsBatch) {
   const rel::License bearer = NewBearer();
   const rel::License other = NewBearer();

@@ -2,8 +2,10 @@
 // (bignum/ifma.h, docs/bignum.md "The IFMA kernel"). Every result is
 // held to a square-and-multiply ladder built from the CIOS/SOS span API
 // (MontMulLimbs / MontSqrLimbs), which shares no code with the radix-2^52
-// kernel or the windowed driver. On a CPU without IFMA the portable
-// kernels are the only path and these tests skip.
+// kernel or the windowed loop; the 8-lane kernel is held to the
+// single-set kernel digit for digit, and PowModMb8 to PowModLimbs. On a
+// CPU without IFMA the portable kernels are the only path and these
+// tests skip.
 
 #include <gtest/gtest.h>
 
@@ -263,6 +265,201 @@ TEST_F(IfmaCrtPairTest, DifferentDigitCountsFallBack) {
   EXPECT_EQ(CheckPair(RandomModulus(rng, 1024), RandomModulus(rng, 1040),
                       RandomBits(rng, 1024), RandomBits(rng, 1040), rng),
             0u);
+}
+
+// -- the 8-lane kernel ---------------------------------------------------------
+
+// Almost-Montgomery products of 8 operand pairs through the 8-lane
+// multiply, and squares through the 8-lane square, against the
+// single-set kernel Amm<regs, 1>, lane by lane, in the digit domain.
+// Each adds to a * b the unique M < R' with a * b + M * N = 0 mod R', so
+// their outputs are the same normalized digits, not just the same
+// residues.
+class IfmaMb8Test : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override {
+    if (!ifma::CpuSupported()) {
+      GTEST_SKIP() << "CPU lacks AVX-512 IFMA: no 8-lane kernel here";
+    }
+  }
+
+  // Digits of \p v (below 2N), StrideFor(nd) of them.
+  static std::vector<Limb> Digits(const BigInt& v, std::size_t nd) {
+    const std::vector<Limb> packed = Pack(v);
+    std::vector<Limb> d(ifma::StrideFor(nd));
+    ifma::ToDigits(d.data(), d.size(), packed.data(), packed.size());
+    return d;
+  }
+
+  // Checks one batch of 8 (a, b) pairs under modulus \p n through the
+  // 8-lane multiply and, for the squares a * a, the 8-lane square.
+  static void CheckLanes(const BigInt& n, const std::vector<BigInt>& a,
+                         const std::vector<BigInt>& b) {
+    CheckProducts(n, a, b, /*square=*/false);
+    CheckProducts(n, a, a, /*square=*/true);
+  }
+
+  static void CheckProducts(const BigInt& n, const std::vector<BigInt>& a,
+                            const std::vector<BigInt>& b, bool square) {
+    ASSERT_EQ(a.size(), ifma::kLanes);
+    ASSERT_EQ(b.size(), ifma::kLanes);
+    const std::size_t nd = ifma::DigitsFor(n.BitLength());
+    const ifma::AmmFn single = ifma::SelectAmm(nd, 1);
+    const ifma::AmmMb8Fn mb8 = ifma::SelectAmmMb8(nd);
+    const ifma::AmsMb8Fn sqr8 = ifma::SelectAmsMb8(nd);
+    ASSERT_NE(single, nullptr);
+    ASSERT_NE(mb8, nullptr) << nd << " digits";
+    ASSERT_NE(sqr8, nullptr) << nd << " digits";
+    const std::vector<Limb> n52 = Digits(n, nd);
+    Limb inv = 1;  // -N^-1 mod 2^52 by Newton iteration
+    const Limb n0 = Pack(n)[0];
+    for (int i = 0; i < 6; ++i) inv *= 2u - n0 * inv;
+    const Limb k0 = (~inv + 1u) & ifma::kDigitMask;
+
+    std::vector<Limb> a_mb(nd * ifma::kLanes), b_mb(nd * ifma::kLanes),
+        out_mb(nd * ifma::kLanes);
+    std::vector<std::vector<Limb>> want(ifma::kLanes);
+    for (std::size_t l = 0; l < ifma::kLanes; ++l) {
+      const std::vector<Limb> da = Digits(a[l], nd);
+      const std::vector<Limb> db = Digits(b[l], nd);
+      for (std::size_t j = 0; j < nd; ++j) {
+        a_mb[j * ifma::kLanes + l] = da[j];
+        b_mb[j * ifma::kLanes + l] = db[j];
+      }
+      want[l].resize(da.size());
+      const ifma::AmmOperands set{want[l].data(), da.data(), db.data(),
+                                  n52.data(), k0};
+      single(&set, nd);
+    }
+    if (square) {
+      sqr8(out_mb.data(), a_mb.data(), n52.data(), k0);
+    } else {
+      mb8(out_mb.data(), a_mb.data(), b_mb.data(), n52.data(), k0);
+    }
+    for (std::size_t l = 0; l < ifma::kLanes; ++l) {
+      for (std::size_t j = 0; j < nd; ++j) {
+        ASSERT_EQ(out_mb[j * ifma::kLanes + l], want[l][j])
+            << (square ? "square, " : "multiply, ") << nd
+            << " digits, N=" << n.ToHex() << ", lane " << l
+            << ", digit " << j << ", a=" << a[l].ToHex()
+            << ", b=" << b[l].ToHex();
+      }
+    }
+  }
+};
+
+TEST_P(IfmaMb8Test, MatchesSingleSetKernel) {
+  const std::size_t nd = GetParam();
+  std::mt19937_64 rng(nd * 7919u + 11u);
+  // The widest and the narrowest modulus with nd digits (at least 2 bits).
+  const std::size_t widest = ifma::kDigitBits * nd - 2;
+  const std::size_t narrowest = nd == 1 ? 2 : ifma::kDigitBits * (nd - 1) - 1;
+  ASSERT_EQ(ifma::DigitsFor(widest), nd);
+  ASSERT_EQ(ifma::DigitsFor(narrowest), nd);
+  for (const std::size_t bits : {widest, narrowest}) {
+    for (const BigInt& n :
+         {RandomModulus(rng, bits),
+          bits >= 64 ? AllOnesTopModulus(rng, bits) : RandomModulus(rng, bits)}) {
+      const BigInt two_n = n + n;
+      auto below_2n = [&] {
+        return RandomBits(rng, bits + 1).Mod(two_n);
+      };
+      // Edge operands, all in one batch: 0, 1, N - 1, N, N + 1, 2N - 1,
+      // and values in [N, 2N), paired with each other and with random
+      // values so every lane holds a different pair.
+      const std::vector<BigInt> edges = {
+          BigInt(0),        BigInt(1),         n - BigInt(1), n,
+          n + BigInt(1),    two_n - BigInt(1), n + RandomBits(rng, bits).Mod(n),
+          n - BigInt(1)};
+      std::vector<BigInt> rev(edges.rbegin(), edges.rend());
+      CheckLanes(n, edges, rev);
+      CheckLanes(n, edges, edges);
+      std::vector<BigInt> random_b;
+      for (std::size_t l = 0; l < ifma::kLanes; ++l) {
+        random_b.push_back(below_2n());
+      }
+      CheckLanes(n, edges, random_b);
+      for (int round = 0; round < 50; ++round) {
+        std::vector<BigInt> a, b;
+        for (std::size_t l = 0; l < ifma::kLanes; ++l) {
+          a.push_back(below_2n());
+          b.push_back(below_2n());
+        }
+        CheckLanes(n, a, b);
+      }
+    }
+  }
+}
+
+TEST_P(IfmaMb8Test, NoKernelPastTheDigitLimit) {
+  EXPECT_EQ(ifma::SelectAmmMb8(ifma::kMb8MaxDigits + GetParam()), nullptr);
+  EXPECT_EQ(ifma::SelectAmmMb8(0), nullptr);
+  EXPECT_EQ(ifma::SelectAmsMb8(ifma::kMb8MaxDigits + GetParam()), nullptr);
+  EXPECT_EQ(ifma::SelectAmsMb8(0), nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryDigitCount, IfmaMb8Test,
+    ::testing::Range<std::size_t>(1, ifma::kMb8MaxDigits + 1));
+
+// PowModMb8 against PowModLimbs lane by lane: shared exponents of every
+// loop shape (zero, the binary ladder, 4- and 5-bit windows), partial
+// lane counts, and the edge bases 0, 1 and N - 1.
+TEST(IfmaMb8PowMod, MatchesPowModLimbsPerLane) {
+  if (!ifma::CpuSupported()) {
+    GTEST_SKIP() << "CPU lacks AVX-512 IFMA: no 8-lane kernel here";
+  }
+  std::mt19937_64 rng(424242u);
+  for (std::size_t bits : {256u, 512u, 1000u, 1024u, 1038u}) {
+    const Montgomery mont(RandomModulus(rng, bits));
+    ASSERT_TRUE(mont.HasMb8()) << bits;
+    const BigInt& n = mont.modulus();
+    const std::size_t w = mont.width();
+    Scratch scratch;
+    for (const BigInt& exp :
+         {BigInt(0), BigInt(1), BigInt(65537), RandomBits(rng, 300),
+          RandomBits(rng, bits)}) {
+      for (std::size_t lanes : {1u, 3u, 5u, 8u}) {
+        std::vector<BigInt> bases = {BigInt(0), BigInt(1), n - BigInt(1)};
+        while (bases.size() < lanes) bases.push_back(RandomBits(rng, bits).Mod(n));
+        bases.resize(lanes);
+        std::vector<Limb> in(lanes * w), out(lanes * w);
+        for (std::size_t l = 0; l < lanes; ++l) mont.Load(in.data() + l * w, bases[l]);
+        const std::vector<Limb> e = Pack(exp);
+        mont.PowModMb8(out.data(), in.data(), lanes,
+                       LimbSpan{e.data(), e.size()}, &scratch);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          EXPECT_EQ(mont.Unload(out.data() + l * w).ToHex(),
+                    ViaPowModLimbs(mont, bases[l], exp, &scratch).ToHex())
+              << bits << "-bit, " << lanes << " lanes, lane " << l
+              << ", exp=" << exp.ToHex();
+        }
+      }
+    }
+  }
+  // A warm 8-lane pass allocates nothing: its 40 KiB table at 1024 bits
+  // comes from the same scratch frame every time.
+  {
+    const Montgomery mont(RandomModulus(rng, 1024));
+    const std::size_t w = mont.width();
+    std::vector<Limb> in(8 * w), out(8 * w);
+    for (std::size_t l = 0; l < 8; ++l) {
+      mont.Load(in.data() + l * w, RandomBits(rng, 1024).Mod(mont.modulus()));
+    }
+    const std::vector<Limb> e = Pack(RandomBits(rng, 1024));
+    Scratch scratch;
+    mont.PowModMb8(out.data(), in.data(), 8, LimbSpan{e.data(), e.size()},
+                   &scratch);
+    const std::uint64_t arena = scratch.heap_allocations();
+    for (int i = 0; i < 3; ++i) {
+      mont.PowModMb8(out.data(), in.data(), 8, LimbSpan{e.data(), e.size()},
+                     &scratch);
+    }
+    EXPECT_EQ(scratch.heap_allocations(), arena)
+        << "warm PowModMb8 allocated scratch on the heap";
+  }
+  // Past the 8-lane kernel's digit limit the context has none.
+  EXPECT_FALSE(Montgomery(RandomModulus(rng, 1040)).HasMb8());
 }
 
 }  // namespace

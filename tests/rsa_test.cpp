@@ -6,6 +6,8 @@
 
 #include <thread>
 
+#include "bignum/ifma.h"
+#include "bignum/limbs.h"
 #include "crypto/drbg.h"
 
 namespace p2drm {
@@ -203,6 +205,103 @@ TEST(FdhSignature, ConcurrentSigningMatchesSerial) {
     for (int t = 0; t < kThreads; ++t) {
       EXPECT_EQ(threaded[t], serial[t]) << bits << "-bit, thread " << t;
     }
+  }
+}
+
+// -- RsaSignFdhMany: the multi-buffer signing path -----------------------------
+
+// RsaSignFdhMany against per-message RsaSignFdh for \p count messages;
+// \p repeat_every > 0 makes every repeat_every-th message a copy of the
+// first, so one group holds the same message in several lanes.
+void ExpectManyMatchesSingles(const RsaPrivateKey& key, std::size_t count,
+                              std::size_t repeat_every) {
+  const std::size_t bits = key.n.BitLength();
+  std::vector<std::vector<std::uint8_t>> msgs;
+  for (std::size_t i = 0; i < count; ++i) {
+    const bool repeat = repeat_every > 0 && i > 0 && i % repeat_every == 0;
+    msgs.push_back(repeat ? msgs[0]
+                          : Msg("many-" + std::to_string(bits) + "-" +
+                                std::to_string(i)));
+  }
+  const std::vector<std::vector<std::uint8_t>> got =
+      RsaSignFdhMany(key, msgs);
+  ASSERT_EQ(got.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(got[i], RsaSignFdh(key, msgs[i]))
+        << bits << "-bit, " << count << " messages, index " << i;
+  }
+}
+
+TEST(FdhSignatureMany, MatchesSinglesForEveryCount) {
+  for (const RsaPrivateKey* key :
+       {&TestKey512(), &TestKey1024(), &TestKey2048()}) {
+    for (std::size_t count = 0; count <= 17; ++count) {
+      ExpectManyMatchesSingles(*key, count, /*repeat_every=*/0);
+    }
+  }
+}
+
+TEST(FdhSignatureMany, RepeatedMessagesInOneGroup) {
+  for (const RsaPrivateKey* key : {&TestKey1024(), &TestKey2048()}) {
+    ExpectManyMatchesSingles(*key, 8, /*repeat_every=*/2);
+    ExpectManyMatchesSingles(*key, 8, /*repeat_every=*/1);
+    ExpectManyMatchesSingles(*key, 13, /*repeat_every=*/3);
+  }
+}
+
+TEST(FdhSignatureMany, KeyWithoutPrecomputeSignsOneByOne) {
+  RsaPrivateKey bare = TestKey1024();
+  bare.crt = nullptr;
+  const std::uint64_t passes = bignum::KernelStats().powmod_mb8;
+  for (std::size_t count : {1u, 5u, 8u, 11u}) {
+    ExpectManyMatchesSingles(bare, count, /*repeat_every=*/0);
+  }
+  EXPECT_EQ(bignum::KernelStats().powmod_mb8, passes)
+      << "a key without cached CRT contexts took the 8-lane path";
+}
+
+TEST(FdhSignatureMany, FullGroupsRunOnTheEightLaneKernel) {
+  if (!bignum::ifma::CpuSupported()) {
+    GTEST_SKIP() << "CPU lacks AVX-512 IFMA: every group signs one by one";
+  }
+  const RsaPrivateKey& key = TestKey2048();
+  std::vector<std::vector<std::uint8_t>> msgs;
+  for (int i = 0; i < 8; ++i) msgs.push_back(Msg("lanes-" + std::to_string(i)));
+  const std::uint64_t before = bignum::KernelStats().powmod_mb8;
+  RsaSignFdhMany(key, msgs);
+  // One pass per CRT half.
+  EXPECT_EQ(bignum::KernelStats().powmod_mb8 - before, 2u);
+  msgs.resize(kMb8MinLanes - 1);
+  RsaSignFdhMany(key, msgs);
+  EXPECT_EQ(bignum::KernelStats().powmod_mb8 - before, 2u)
+      << "a group below kMb8MinLanes ran on the 8-lane kernel";
+}
+
+TEST(FdhSignatureMany, ConcurrentGroupsMatchSerial) {
+  // Four threads sign their own 8-message groups with one shared key at
+  // once: the shared CRT contexts and per-thread scratch must keep every
+  // signature identical to the serial run (run this binary under TSan).
+  const RsaPrivateKey& key = TestKey2048();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<std::uint8_t>>> msgs(kThreads);
+  std::vector<std::vector<std::vector<std::uint8_t>>> serial(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < 8; ++i) {
+      msgs[t].push_back(Msg("group-" + std::to_string(t) + "-" +
+                            std::to_string(i)));
+      serial[t].push_back(RsaSignFdh(key, msgs[t].back()));
+    }
+  }
+  std::vector<std::vector<std::vector<std::uint8_t>>> threaded(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&key, &msgs, &threaded, t] {
+      threaded[t] = RsaSignFdhMany(key, msgs[t]);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(threaded[t], serial[t]) << "thread " << t;
   }
 }
 

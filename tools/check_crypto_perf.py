@@ -15,7 +15,12 @@ and fails the build unless:
      exponentiation ran on the IFMA kernel, so a silent fall-back to the
      portable kernels turns CI red. Without IFMA the portable kernels are
      the only path and this check does not apply.
-  4. On a CPU with the SHA extensions (config "cpu_sha_ni": true, read
+  4. On a CPU with AVX-512 IFMA, at least one 8-lane pass ran
+     (fixed_width_powmods "mb8:<n>" with n > 0, from the
+     BM_RsaSignFdhMany rows), so a multi-buffer signing path that
+     silently falls back to one signature at a time turns CI red. No
+     timing floor applies to it.
+  5. On a CPU with the SHA extensions (config "cpu_sha_ni": true, read
      by the bench from cpuid), SHA-256 ran on the SHA-NI kernel (config
      "sha256_kernel": "sha-ni"), so a silent fall-back to the portable
      compression loop turns CI red. No timing floor applies to hashing.
@@ -66,8 +71,9 @@ def main():
         failures.append(
             f"config.bignum_limb_bits = {config.get('bignum_limb_bits')!r}, "
             "expected 64 - kernel config not recorded or wrong limb width")
-    # fixed_width_powmods looks like "512:a,1024:b,2048:c,generic:d,ifma:e";
-    # IFMA exponentiations count in their width bucket as well.
+    # fixed_width_powmods looks like
+    # "512:a,1024:b,2048:c,generic:d,ifma:e,mb8:f"; IFMA exponentiations
+    # and every lane of an 8-lane pass count in their width bucket too.
     widths = dict(kv.split(":") for kv in
                   config.get("fixed_width_powmods", "").split(",") if ":" in kv)
     if int(widths.get("1024", "0")) <= 0:
@@ -81,6 +87,11 @@ def main():
             "cpu_ifma is true but no PowMod ran on the IFMA kernel "
             f"(fixed_width_powmods = {config.get('fixed_width_powmods')!r}); "
             "the portable kernels ran instead")
+    if cpu_ifma is True and int(widths.get("mb8", "0")) <= 0:
+        failures.append(
+            "cpu_ifma is true but no 8-lane multi-buffer pass ran "
+            f"(fixed_width_powmods = {config.get('fixed_width_powmods')!r}); "
+            "RsaSignFdhMany signed its groups one message at a time")
 
     cpu_sha_ni = config.get("cpu_sha_ni")
     sha256_kernel = config.get("sha256_kernel")
