@@ -81,10 +81,7 @@ ContentProvider::ContentProvider(const ContentProviderConfig& config,
   rt.queue_capacity = config_.redeem_queue_capacity;
   rt.journal_path_prefix = config_.spent_journal_path;
   runtime_ = std::make_unique<server::ServerRuntime>(rt);
-  if (config_.signer_pool_size > 0) {
-    signer_pool_ =
-        std::make_unique<server::SignerPool>(config_.signer_pool_size);
-  }
+  signer_pool_ = std::make_unique<server::SignerPool>(config_.signer_pool_size);
   // The time lambda resolves time_source_ at call time so
   // set_time_source keeps working after construction.
   server::BatchPipeline::Config pipeline;
@@ -423,9 +420,7 @@ void ContentProvider::set_observability(const obs::Sink& sink,
   wire(&obs_exchange_, "exchange", "exchange.verify", "exchange.spend",
        "exchange.issue");
   runtime_->set_observability(sink.registry, prefix + "runtime.");
-  if (signer_pool_ != nullptr) {
-    signer_pool_->set_observability(sink.registry, prefix + "signer_pool.");
-  }
+  signer_pool_->set_observability(sink.registry, prefix + "signer_pool.");
 }
 
 std::vector<std::uint8_t> ContentProvider::TransferChallengeBytes(
@@ -518,6 +513,8 @@ std::vector<ContentProvider::ExchangeResult> ContentProvider::ExchangeBatch(
   // probes on the bound keys, and the per-item possession proofs reuse
   // the verifier's cached Montgomery contexts. Checks run in the exact
   // order ExchangeForAnonymous applies them, so per-item statuses match.
+  // The RSA checks fan out over the signer pool in two rounds: license
+  // signatures, then possession proofs for the survivors only.
   plan.verify = [&] {
     server::BatchVerifierStats before = verifier_.stats();
     std::vector<std::vector<std::uint8_t>> msgs;
@@ -528,8 +525,9 @@ std::vector<ContentProvider::ExchangeResult> ContentProvider::ExchangeBatch(
       msgs.push_back(item.license.CanonicalBytes());
       sigs.push_back(item.license.issuer_signature);
     }
-    std::vector<bool> sig_ok =
-        verifier_.VerifySameKeyBatch(public_key_, msgs, sigs, rng_);
+    std::vector<std::uint8_t> sig_ok =
+        verifier_.VerifySameKeyBatch(public_key_, msgs, sigs, rng_,
+                                     *signer_pool_);
 
     std::vector<std::size_t> crl_items;
     std::vector<rel::KeyFingerprint> crl_keys;
@@ -548,8 +546,12 @@ std::vector<ContentProvider::ExchangeResult> ContentProvider::ExchangeBatch(
     }
     std::vector<bool> revoked = verifier_.CrlProbePass(crl_, crl_keys);
 
-    std::vector<std::size_t> eligible;
-    eligible.reserve(crl_items.size());
+    // Possession proofs only for the items every earlier check admitted,
+    // in one fan-out; the statuses are then applied in item order.
+    std::vector<std::size_t> proof_items;
+    std::vector<std::vector<std::uint8_t>> challenges;
+    std::vector<server::FdhCheck> proofs;
+    challenges.reserve(crl_items.size());  // proofs point into it
     for (std::size_t j = 0; j < crl_items.size(); ++j) {
       std::size_t i = crl_items[j];
       if (revoked[j]) {
@@ -561,13 +563,22 @@ std::vector<ContentProvider::ExchangeResult> ContentProvider::ExchangeBatch(
         out[i].status = Status::kBadRequest;
         continue;
       }
-      if (!verifier_.VerifyFdh(key_it->second,
-                               TransferChallengeBytes(items[i].license.id),
-                               items[i].possession_sig)) {
-        out[i].status = Status::kBadSignature;
-        continue;
+      challenges.push_back(TransferChallengeBytes(items[i].license.id));
+      proof_items.push_back(i);
+      proofs.push_back({&key_it->second, &challenges.back(),
+                        &items[i].possession_sig});
+    }
+    std::vector<std::uint8_t> proof_ok =
+        verifier_.VerifyFdhMany(proofs, *signer_pool_);
+
+    std::vector<std::size_t> eligible;
+    eligible.reserve(proof_items.size());
+    for (std::size_t j = 0; j < proof_items.size(); ++j) {
+      if (proof_ok[j]) {
+        eligible.push_back(proof_items[j]);
+      } else {
+        out[proof_items[j]].status = Status::kBadSignature;
       }
-      eligible.push_back(i);
     }
     GlobalOps().verify += (verifier_.stats() - before).full_verifies;
     return eligible;
@@ -754,7 +765,9 @@ ContentProvider::RedeemAnonymousBatch(const std::vector<RedeemItem>& items) {
   // key, so the group shares that key's cached context and each license
   // signature is checked once; each distinct pseudonym certificate is
   // verified once; one shared pass answers the CRL probes. The RT-2
-  // table counts the verifications actually performed.
+  // table counts the verifications actually performed. The license
+  // checks fan out over the signer pool; the certificate memo and the
+  // CRL pass stay on the dispatch thread.
   plan.verify = [&] {
     server::BatchVerifierStats before = verifier_.stats();
     std::vector<std::vector<std::uint8_t>> msgs;
@@ -765,8 +778,9 @@ ContentProvider::RedeemAnonymousBatch(const std::vector<RedeemItem>& items) {
       msgs.push_back(item.anonymous_license.CanonicalBytes());
       sigs.push_back(item.anonymous_license.issuer_signature);
     }
-    std::vector<bool> sig_ok =
-        verifier_.VerifySameKeyBatch(public_key_, msgs, sigs, rng_);
+    std::vector<std::uint8_t> sig_ok =
+        verifier_.VerifySameKeyBatch(public_key_, msgs, sigs, rng_,
+                                     *signer_pool_);
 
     std::vector<std::size_t> crl_items;
     std::vector<rel::KeyFingerprint> crl_keys;

@@ -73,10 +73,11 @@ struct ContentProviderConfig {
   /// Per-shard bounded-queue capacity (items). Batch redemptions that
   /// would overflow a shard queue are shed with Status::kOverloaded.
   std::size_t redeem_queue_capacity = 4096;
-  /// Dedicated work-stealing signer pool for the issue stage
-  /// (server::SignerPool), sized independently of redeem_shards. 0 signs
-  /// on the dispatch thread; N > 0 runs every batch's issue stage on N
-  /// pool workers plus the dispatch thread, which joins the signing.
+  /// Workers of the dedicated work-stealing signer pool
+  /// (server::SignerPool), sized independently of redeem_shards. Every
+  /// batch's issue stage and its verify stage's RSA checks run on these
+  /// workers plus the dispatch thread, which joins. 0 is a pool of zero
+  /// workers: the dispatch thread does all of it.
   std::size_t signer_pool_size = 0;
   /// The provider's fixed policy, not a setting: every batch call runs
   /// its batch to completion before it returns, so one batch is in
@@ -135,8 +136,7 @@ class ContentProvider {
   /// verify (memoized pseudonym-cert checks + one shared CRL pass),
   /// mutate (ONE PaymentProvider::DepositBatch call covering every
   /// item's coins, so double-spend checks shard at the bank), issue
-  /// (license signing and content-key wrapping on the signer pool when
-  /// signer_pool_size > 0, inline otherwise). Per-item statuses are
+  /// (license signing and content-key wrapping on the signer pool). Per-item statuses are
   /// index-aligned and match Purchase() item for item, except that
   /// repeated certificates inside or across batches cost one
   /// verification instead of one each, and a failing coin no longer stops
@@ -213,7 +213,7 @@ class ContentProvider {
   std::vector<PurchaseResult> RedeemAnonymousBatch(
       const std::vector<RedeemItem>& items);
 
-  /// The dedicated signer pool, or null when signer_pool_size == 0.
+  /// The dedicated signer pool (signer_pool_size workers; never null).
   const server::SignerPool* Pool() const { return signer_pool_.get(); }
   server::SignerPool* Pool() { return signer_pool_.get(); }
 
@@ -242,9 +242,9 @@ class ContentProvider {
   /// Injects the clock behind LastBatchTimings and the signer pool's
   /// sim-clock accrual (null = steady_clock). A deterministic source
   /// pins stage timings in tests; a virtual-time harness can express
-  /// service cost in the same timebase as wire latency. With a signer
-  /// pool the source is called from the signer threads during the issue
-  /// stage, so it must be thread-safe.
+  /// service cost in the same timebase as wire latency. With pool
+  /// workers the source is called from the signer threads during the
+  /// issue stage, so it must be thread-safe.
   void set_time_source(server::TimeSourceUs now_us) {
     time_source_ = std::move(now_us);
   }
@@ -395,7 +395,7 @@ class ContentProvider {
   rel::ContentId next_content_id_ = 1;
 
   std::unique_ptr<server::ServerRuntime> runtime_;  ///< spent set + journal
-  std::unique_ptr<server::SignerPool> signer_pool_;  ///< dedicated issue pool
+  std::unique_ptr<server::SignerPool> signer_pool_;  ///< verify + issue pool
   std::unique_ptr<server::BatchPipeline> pipeline_;  ///< every batch call
   server::BatchVerifier verifier_;
   store::RevocationList crl_;

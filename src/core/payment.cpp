@@ -167,8 +167,8 @@ std::vector<Status> PaymentProvider::DepositBatch(
         msgs.push_back(items[i].coin.CanonicalBytes());
         sigs.push_back(items[i].coin.signature);
       }
-      std::vector<bool> ok =
-          verifier_.VerifySameKeyBatch(denom_pub_.at(denom), msgs, sigs, rng_);
+      std::vector<std::uint8_t> ok = verifier_.VerifySameKeyBatch(
+          denom_pub_.at(denom), msgs, sigs, rng_, inline_pool_);
       for (std::size_t j = 0; j < group.size(); ++j) {
         if (ok[j]) {
           eligible.push_back(group[j]);

@@ -154,8 +154,11 @@ class PaymentProvider {
   std::uint64_t deposited_coins_ = 0;
   std::uint64_t double_spend_attempts_ = 0;
   server::PipelineObs obs_deposit_;  ///< null endpoints = off
-  /// No signer pool: deposits sign nothing.
-  server::BatchPipeline pipeline_{server::BatchPipeline::Config{}};
+  /// Zero workers: deposits sign nothing, and their coin checks run on
+  /// the calling thread.
+  server::SignerPool inline_pool_{0};
+  server::BatchPipeline pipeline_{
+      server::BatchPipeline::Config{&inline_pool_, nullptr}};
 };
 
 /// Client-side helper: splits \p amount into available denominations,

@@ -1,6 +1,7 @@
 #include "server/batch_pipeline.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace p2drm {
 namespace server {
@@ -8,6 +9,12 @@ namespace server {
 std::size_t IssueGroupSize(std::size_t live, std::size_t signers) {
   signers = std::max<std::size_t>(signers, 1);
   return std::min((live + signers - 1) / signers, kMaxIssueGroup);
+}
+
+BatchPipeline::BatchPipeline(Config cfg) : cfg_(std::move(cfg)) {
+  if (cfg_.pool == nullptr) {
+    throw std::invalid_argument("BatchPipeline: Config::pool is required");
+  }
 }
 
 std::uint64_t BatchPipeline::Now() const {
@@ -20,7 +27,8 @@ BatchPipelineTimings BatchPipeline::Run(const Plan& plan,
   t.items = plan.item_count;
   obs::Tracer* tracer = pobs != nullptr ? pobs->tracer : nullptr;
 
-  // Stage 1 — verify (dispatch thread, amortized, read-only).
+  // Stage 1 — verify (amortized, read-only; the flow's callback runs on
+  // the dispatch thread and fans its RSA checks out over the pool).
   const std::uint64_t verify_t0 = Now();
   if (tracer != nullptr) tracer->Begin(pobs->span_verify);
   std::vector<std::size_t> eligible;  // verify survivors (item indices)
@@ -72,43 +80,36 @@ BatchPipelineTimings BatchPipeline::Run(const Plan& plan,
   t.committed = live;
 
   // Stage 3 — issue: forks on the dispatch thread, ascending k, then the
-  // groups run on the pool and the joining dispatch thread. Each group
-  // samples the stage clock around its own work: the sample accrues on
-  // its signer's clock and the latest end closes the batch's issue span.
+  // groups run on the pool and the joining dispatch thread (only the
+  // dispatch thread on a zero-worker pool). Each group samples the stage
+  // clock around its own work: the sample accrues on its signer's clock
+  // and the latest end closes the batch's issue span.
   const std::uint64_t issue_t0 = Now();
   if (plan.begin_issue != nullptr) plan.begin_issue(live);
   if (plan.draw_fork != nullptr) {
     for (std::size_t k = 0; k < live; ++k) plan.draw_fork(k, live_items[k]);
   }
-  const std::size_t signers =
-      cfg_.pool != nullptr ? cfg_.pool->worker_count() + 1 : 1;
-  const std::size_t group = IssueGroupSize(live, signers);
+  const std::size_t group = IssueGroupSize(live, cfg_.pool->worker_count() + 1);
   const std::size_t groups = group == 0 ? 0 : (live + group - 1) / group;
-  auto issue = [&](std::size_t g) {
-    IssueRange range;
-    range.begin = g * group;
-    range.end = std::min(live, range.begin + group);
-    range.items = live_items.data();
-    range.statuses = live_status.data();
-    plan.issue(range);
-  };
   if (tracer != nullptr) tracer->Begin(pobs->span_issue);
   std::uint64_t issue_end;
-  if (cfg_.pool != nullptr && plan.issue != nullptr && groups > 0) {
+  if (plan.issue != nullptr && groups > 0) {
     // Per-group issue end, written by whichever thread ran group g.
     std::vector<std::uint64_t> group_end_us(groups);
     cfg_.pool->Run(groups, [&](SignerContext& ctx, std::size_t g) {
+      IssueRange range;
+      range.begin = g * group;
+      range.end = std::min(live, range.begin + group);
+      range.items = live_items.data();
+      range.statuses = live_status.data();
       std::uint64_t t0 = Now();
-      issue(g);
+      plan.issue(range);
       std::uint64_t t1 = Now();
       ctx.AccrueSimClockUs(t1 - t0);
       group_end_us[g] = t1;
     });
     issue_end = *std::max_element(group_end_us.begin(), group_end_us.end());
   } else {
-    if (plan.issue != nullptr) {
-      for (std::size_t g = 0; g < groups; ++g) issue(g);
-    }
     issue_end = Now();
   }
   if (tracer != nullptr) tracer->End(pobs->span_issue);

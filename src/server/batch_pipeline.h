@@ -8,10 +8,13 @@
 /// same way; this class is that shape, so each flow supplies only its
 /// callbacks instead of its own copy of the stage loop:
 ///
-///   1. **verify** — amortized, read-only classification on the dispatch
-///      thread (same-key signature checks on a cached context, memoized
-///      certificate checks, shared CRL pass). Returns the surviving item
-///      indices; the flow records rejection statuses itself.
+///   1. **verify** — amortized, read-only classification. The flow's
+///      callback runs on the dispatch thread, which keeps the certificate
+///      memo, the CRL pass and the status logic serial; its RSA checks
+///      (same-key license signatures, possession proofs) fan out over the
+///      signer pool through BatchVerifier, joined by the dispatch thread.
+///      Returns the surviving item indices; the flow records rejection
+///      statuses itself.
 ///   2. **mutate** — the flow's serialized state change (spent-set
 ///      inserts on each id's home shard, coin deposits at the bank).
 ///      This stage is the ONLY backpressure point: an item whose shard
@@ -25,24 +28,27 @@
 ///      issuance bit-identical to serial under a fixed DRBG seed — then
 ///      the live items are cut into contiguous groups of at most
 ///      kMaxIssueGroup (IssueGroupSize) and the groups are dealt to the
-///      signer pool, when there is one. A flow signs each group's
-///      provider-key messages in one crypto::RsaSignFdhMany call.
+///      signer pool. A flow signs each group's provider-key messages in
+///      one crypto::RsaSignFdhMany call.
 ///   4. **commit** — applies the result mutations on the dispatch
 ///      thread, in index order, once every issue item has finished.
 ///
 /// `Run(plan)` is one blocking call through all four stages:
 ///
-///   verify -> mutate -> reject/shed -> draw_fork -> issue (SignerPool::Run
-///   over the groups: the dispatch thread signs the batch's
+///   verify (its RSA checks: SignerPool::Run over verify groups) ->
+///   mutate -> reject/shed -> draw_fork -> issue (SignerPool::Run over
+///   the issue groups: the dispatch thread signs the batch's
 ///   not-yet-started groups, then waits) -> commit tail
 ///
-/// With no pool, every issue group runs on the dispatch thread. A batch
-/// is finished when Run returns; no state outlives the call.
+/// On a zero-worker pool every verify and issue group runs on the
+/// dispatch thread, through the same SignerPool::Run. A batch is finished when Run
+/// returns; no state outlives the call.
 ///
 /// Ordering and determinism contract:
-///  * Verify and draw_fork run on the dispatch thread, so every
-///    shared-RNG draw happens there in call order — which makes pooled
-///    issuance bit-identical to inline issuance under a fixed seed.
+///  * The verify callback and draw_fork run on the dispatch thread, so
+///    every shared-RNG draw happens there in call order (BatchVerifier
+///    draws before it fans out) — which makes pooled issuance
+///    bit-identical to inline issuance under a fixed seed.
 ///  * kOverloaded sheds surface at the mutate stage (reject runs before
 ///    any issue item) and never reach issue or commit.
 ///  * The commit tail applies in ascending k, on the dispatch thread,
@@ -66,7 +72,7 @@ namespace server {
 /// "wall clock" (SteadyNowUs). A deterministic source makes
 /// BatchPipelineTimings / ContentProvider::LastBatchTimings testable and
 /// lets virtual-time harnesses express service cost in the same timebase
-/// as wire latency. With a signer pool it is also called from the
+/// as wire latency. On a pool with workers it is also called from the
 /// workers, so it must be thread-safe then.
 using TimeSourceUs = std::function<std::uint64_t()>;
 
@@ -120,7 +126,8 @@ struct PipelineObs {
 constexpr std::size_t kMaxIssueGroup = 8;
 
 /// Live items per issue group for \p live items on \p signers signers
-/// (pool workers plus the joining dispatch thread; 1 without a pool):
+/// (pool workers plus the joining dispatch thread; 1 on a zero-worker
+/// pool):
 /// ceil(live / signers), capped at kMaxIssueGroup. Every signer gets a
 /// group before any gets a second, and a group never exceeds one
 /// signing pass: 32 items on 4 signers make four groups of 8, and a
@@ -154,9 +161,10 @@ class BatchPipeline {
   struct Plan {
     std::size_t item_count = 0;
 
-    /// Stage 1 (dispatch thread). Records rejection statuses on the
-    /// flow's own result array and returns the surviving item indices,
-    /// ascending.
+    /// Stage 1 (called on the dispatch thread; its RSA checks may fan
+    /// out over the signer pool, which the dispatch thread joins).
+    /// Records rejection statuses on the flow's own result array and
+    /// returns the surviving item indices, ascending.
     std::function<std::vector<std::size_t>()> verify;
 
     /// Stage 2 (flow-chosen serialization point). Returns one status
@@ -197,14 +205,16 @@ class BatchPipeline {
   };
 
   struct Config {
-    /// Issue target. Null runs every issue group on the dispatch thread.
+    /// Issue target; required. A zero-worker pool runs every issue group
+    /// on the dispatch thread.
     SignerPool* pool = nullptr;
 
     /// Stage-timing clock (null = SteadyNowUs).
     TimeSourceUs now_us;
   };
 
-  explicit BatchPipeline(Config cfg) : cfg_(std::move(cfg)) {}
+  /// Throws std::invalid_argument when \p cfg has no pool.
+  explicit BatchPipeline(Config cfg);
 
   BatchPipeline(const BatchPipeline&) = delete;
   BatchPipeline& operator=(const BatchPipeline&) = delete;

@@ -1,5 +1,6 @@
 #include "server/batch_verifier.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "crypto/sha256.h"
@@ -10,14 +11,47 @@ namespace server {
 using bignum::BigInt;
 using bignum::Montgomery;
 
+namespace {
+
+/// One RSA-FDH check on a resolved context. Reads only its arguments, so
+/// it may run on any pool thread.
+bool CheckFdh(const Montgomery& mont, const crypto::RsaPublicKey& pub,
+              const std::vector<std::uint8_t>& msg,
+              const std::vector<std::uint8_t>& sig) {
+  if (sig.size() != pub.ModulusBytes()) return false;
+  BigInt s = BigInt::FromBytes(sig);
+  if (s.Compare(pub.n) >= 0) return false;
+  return mont.PowMod(s, pub.e) == crypto::FdhHash(msg, pub);
+}
+
+/// Runs check(i) for i in [0, n) on \p pool in contiguous groups of
+/// VerifyGroupSize items and returns the per-item verdicts. Each group
+/// writes only its own bytes of the result.
+template <typename Check>
+std::vector<std::uint8_t> FanOut(SignerPool& pool, std::size_t n,
+                                 const Check& check) {
+  std::vector<std::uint8_t> ok(n, 0);
+  if (n == 0) return ok;
+  const std::size_t group = VerifyGroupSize(n, pool.worker_count() + 1);
+  pool.Run((n + group - 1) / group, [&](SignerContext&, std::size_t g) {
+    const std::size_t end = std::min(n, (g + 1) * group);
+    for (std::size_t i = g * group; i < end; ++i) ok[i] = check(i) ? 1 : 0;
+  });
+  return ok;
+}
+
+}  // namespace
+
+std::size_t VerifyGroupSize(std::size_t n, std::size_t signers) {
+  signers = std::max<std::size_t>(signers, 1);
+  return std::max((n + signers - 1) / signers, kMinVerifyGroup);
+}
+
 const Montgomery& BatchVerifier::ContextForLocked(
     const crypto::RsaPublicKey& pub) {
-  std::vector<std::uint8_t> key = pub.n.ToBytes();
-  auto it = contexts_.find(key);
+  auto it = contexts_.find(pub.n);
   if (it == contexts_.end()) {
-    it = contexts_
-             .emplace(std::move(key), std::make_unique<Montgomery>(pub.n))
-             .first;
+    it = contexts_.emplace(pub.n, std::make_unique<Montgomery>(pub.n)).first;
   }
   return *it->second;
 }
@@ -27,39 +61,28 @@ const Montgomery& BatchVerifier::ContextFor(const crypto::RsaPublicKey& pub) {
   return ContextForLocked(pub);
 }
 
-bool BatchVerifier::VerifyFdhWith(const Montgomery& mont,
-                                  const crypto::RsaPublicKey& pub,
-                                  const std::vector<std::uint8_t>& msg,
-                                  const std::vector<std::uint8_t>& sig) {
-  if (sig.size() != pub.ModulusBytes()) return false;
-  BigInt s = BigInt::FromBytes(sig);
-  if (s.Compare(pub.n) >= 0) return false;
-  return mont.PowMod(s, pub.e) == crypto::FdhHash(msg, pub);
-}
-
 bool BatchVerifier::VerifyFdh(const crypto::RsaPublicKey& pub,
                               const std::vector<std::uint8_t>& msg,
                               const std::vector<std::uint8_t>& sig) {
   const Montgomery& mont = ContextFor(pub);
-  bool ok = VerifyFdhWith(mont, pub, msg, sig);
+  bool ok = CheckFdh(mont, pub, msg, sig);
   std::lock_guard<std::mutex> lock(m_);
   stats_.items += 1;
   stats_.full_verifies += 1;
   return ok;
 }
 
-std::vector<bool> BatchVerifier::VerifySameKeyBatch(
+std::vector<std::uint8_t> BatchVerifier::VerifySameKeyBatch(
     const crypto::RsaPublicKey& pub,
     const std::vector<std::vector<std::uint8_t>>& msgs,
     const std::vector<std::vector<std::uint8_t>>& sigs,
-    bignum::RandomSource* rng) {
+    bignum::RandomSource* rng, SignerPool& pool) {
   const std::size_t n = msgs.size();
-  std::vector<bool> valid(n, false);
   {
     std::lock_guard<std::mutex> lock(m_);
     stats_.items += n;
   }
-  if (n == 0 || sigs.size() != n) return valid;
+  if (n == 0 || sigs.size() != n) return std::vector<std::uint8_t>(n, 0);
 
   // Structural pre-screen (no exponentiation): only signatures of the
   // modulus width with s < n are candidates.
@@ -70,7 +93,7 @@ std::vector<bool> BatchVerifier::VerifySameKeyBatch(
       ++candidates;
     }
   }
-  if (candidates == 0) return valid;
+  if (candidates == 0) return std::vector<std::uint8_t>(n, 0);
 
   // Unused draw that keeps the provider's DRBG stream (see the header).
   // One 4-byte Fill per candidate, not one 4k-byte Fill: HmacDrbg
@@ -83,15 +106,39 @@ std::vector<bool> BatchVerifier::VerifySameKeyBatch(
   }
 
   const Montgomery& mont = ContextFor(pub);
+  std::vector<std::uint8_t> valid = FanOut(pool, n, [&](std::size_t i) {
+    return CheckFdh(mont, pub, msgs[i], sigs[i]);
+  });
   std::size_t accepted = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    valid[i] = VerifyFdhWith(mont, pub, msgs[i], sigs[i]);
-    if (valid[i]) ++accepted;
-  }
+  for (std::uint8_t v : valid) accepted += v;
   std::lock_guard<std::mutex> lock(m_);
   stats_.full_verifies += candidates;
   stats_.screened_groups += 1;
   if (accepted < candidates) stats_.screen_failures += 1;
+  return valid;
+}
+
+std::vector<std::uint8_t> BatchVerifier::VerifyFdhMany(
+    const std::vector<FdhCheck>& checks, SignerPool& pool) {
+  const std::size_t n = checks.size();
+  // Every context is resolved here, under one lock, so the jobs below
+  // never touch the cache; a run of checks under one key resolves once.
+  std::vector<const Montgomery*> monts(n);
+  {
+    std::lock_guard<std::mutex> lock(m_);
+    for (std::size_t i = 0; i < n; ++i) {
+      monts[i] = i > 0 && checks[i].pub->n == checks[i - 1].pub->n
+                     ? monts[i - 1]
+                     : &ContextForLocked(*checks[i].pub);
+    }
+  }
+  std::vector<std::uint8_t> valid = FanOut(pool, n, [&](std::size_t i) {
+    return CheckFdh(*monts[i], *checks[i].pub, *checks[i].msg,
+                    *checks[i].sig);
+  });
+  std::lock_guard<std::mutex> lock(m_);
+  stats_.items += n;
+  stats_.full_verifies += n;
   return valid;
 }
 
@@ -115,8 +162,7 @@ bool BatchVerifier::VerifyPseudonymCert(
     }
   }
   const Montgomery& mont = ContextFor(ca_key);
-  bool ok = VerifyFdhWith(mont, ca_key, cert.CanonicalBytes(),
-                          cert.ca_signature);
+  bool ok = CheckFdh(mont, ca_key, cert.CanonicalBytes(), cert.ca_signature);
   std::lock_guard<std::mutex> lock(m_);
   stats_.items += 1;
   stats_.full_verifies += 1;

@@ -27,10 +27,24 @@
 ///    fronted) revocation probe, consulting the list once per distinct
 ///    key.
 ///
-/// Thread-safety: the context cache and certificate cache are mutex
-/// guarded, so cached single verifications (VerifyFdh) may run from shard
-/// workers concurrently; the batch entry points are meant for the
-/// provider's dispatch thread.
+/// Threading contract:
+///  * The context cache and certificate cache are mutex guarded, so
+///    cached single verifications (VerifyFdh) may run from any thread
+///    concurrently. The batch entry points are called from the
+///    provider's dispatch thread.
+///  * The batch entry points (VerifySameKeyBatch, VerifyFdhMany) fan
+///    their exponentiations out over a SignerPool: contiguous groups of
+///    VerifyGroupSize items, run by the pool's workers and the calling
+///    thread, which joins. Everything else stays on the caller, before
+///    the fan-out or after the join: each item's Montgomery context is
+///    resolved under the lock first, the DRBG draw happens first and in
+///    order, and stats are added once after the join. A job reads only
+///    its items' inputs and contexts and writes only its items' bytes of
+///    a per-item byte array (not a std::vector<bool>, whose bits share
+///    words), so it touches no verifier state and needs no lock. Verify
+///    jobs accrue nothing onto the pool's SignerContext clocks: those
+///    stay the issue stage's clocks.
+///  * The certificate memo and the CRL pass are serial on the caller.
 
 #include <cstdint>
 #include <map>
@@ -43,6 +57,7 @@
 #include "core/certificates.h"
 #include "crypto/rsa.h"
 #include "rel/ids.h"
+#include "server/signer_pool.h"
 #include "store/revocation_list.h"
 
 namespace p2drm {
@@ -71,6 +86,31 @@ struct BatchVerifierStats {
   }
 };
 
+/// Smallest group of RSA-FDH verifications the batch entry points hand
+/// one signer. A verification at e = 65537 costs 10-14 µs at 2048 bits
+/// (docs/bignum.md), and a parked worker starts its group about 40 µs
+/// after the wake, so smaller groups lose to running inline. Measured on
+/// a 4-vCPU AVX-512 IFMA Xeon, 3 parked workers, p50 of 300 interleaved
+/// calls: 4 checks took 50 µs inline and 105 µs as four groups of one;
+/// 16 took 180 µs inline and 109 µs as four groups of 4; 6 took 71 µs
+/// inline and 83 µs as two groups. Up to this many checks run as one
+/// group on the caller and wake nobody (docs/server.md).
+constexpr std::size_t kMinVerifyGroup = 4;
+
+/// Verifications per group for \p n checks on \p signers signers (pool
+/// workers plus the joining caller): ceil(n / signers), but at least
+/// kMinVerifyGroup. 32 checks on 4 signers make four groups of 8; 3
+/// checks make one group, run on the caller.
+std::size_t VerifyGroupSize(std::size_t n, std::size_t signers);
+
+/// One RSA-FDH check of a mixed-key list: \p sig over \p msg under
+/// \p pub. The pointers are borrowed for the duration of the call.
+struct FdhCheck {
+  const crypto::RsaPublicKey* pub = nullptr;
+  const std::vector<std::uint8_t>* msg = nullptr;
+  const std::vector<std::uint8_t>* sig = nullptr;
+};
+
 /// Batch-amortized RSA-FDH verification with cached Montgomery contexts.
 class BatchVerifier {
  public:
@@ -93,8 +133,9 @@ class BatchVerifier {
                  const std::vector<std::uint8_t>& sig);
 
   /// Verifies k (message, signature) pairs under ONE public key on its
-  /// cached context. \p msgs and \p sigs are aligned; the result is
-  /// per-item validity. A candidate is a signature of the modulus width
+  /// cached context, fanned out over \p pool (see the threading
+  /// contract). \p msgs and \p sigs are aligned; the result is per-item
+  /// validity (1 valid, 0 not). A candidate is a signature of the modulus width
   /// with s < n; each costs one full verification, and the rest are
   /// rejected without one. A group with at least one candidate counts one
   /// `screened_groups`, and one `screen_failures` if any candidate is
@@ -102,12 +143,21 @@ class BatchVerifier {
   /// per candidate whose bytes are unused: the draw the group screen made
   /// for its exponents, kept so that a provider's DRBG stream, its later
   /// license ids and its issued bytes do not depend on how licenses are
-  /// verified. \p rng must not be null.
-  std::vector<bool> VerifySameKeyBatch(
+  /// verified. The draw happens on the caller, before the fan-out.
+  /// \p rng must not be null.
+  std::vector<std::uint8_t> VerifySameKeyBatch(
       const crypto::RsaPublicKey& pub,
       const std::vector<std::vector<std::uint8_t>>& msgs,
       const std::vector<std::vector<std::uint8_t>>& sigs,
-      bignum::RandomSource* rng);
+      bignum::RandomSource* rng, SignerPool& pool);
+
+  /// Verifies a mixed-key list of RSA-FDH checks (the exchange
+  /// possession proofs), fanned out over \p pool. Each check counts one
+  /// item and one full verification, as a VerifyFdh call would; the
+  /// result is per-check validity (1 valid, 0 not), aligned with
+  /// \p checks.
+  std::vector<std::uint8_t> VerifyFdhMany(const std::vector<FdhCheck>& checks,
+                                          SignerPool& pool);
 
   /// Pseudonym-certificate verification memoized by (CA key, certificate
   /// digest). The CA key's fingerprint is hashed once and reused while
@@ -130,16 +180,11 @@ class BatchVerifier {
 
  private:
   const bignum::Montgomery& ContextForLocked(const crypto::RsaPublicKey& pub);
-  bool VerifyFdhWith(const bignum::Montgomery& mont,
-                     const crypto::RsaPublicKey& pub,
-                     const std::vector<std::uint8_t>& msg,
-                     const std::vector<std::uint8_t>& sig);
 
   mutable std::mutex m_;
   BatchVerifierStats stats_;
-  // Montgomery contexts keyed by modulus bytes.
-  std::map<std::vector<std::uint8_t>, std::unique_ptr<bignum::Montgomery>>
-      contexts_;
+  // Montgomery contexts keyed by modulus.
+  std::map<bignum::BigInt, std::unique_ptr<bignum::Montgomery>> contexts_;
   // Pseudonym-cert verdicts keyed by (ca-key fingerprint, cert digest).
   std::map<std::pair<rel::KeyFingerprint, rel::KeyFingerprint>, bool>
       cert_cache_;

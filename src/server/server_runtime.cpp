@@ -181,8 +181,7 @@ ServerRuntime::ImportStats ServerRuntime::ImportSpent(
     ImportStats* tally = &per_shard[s];
     Submit(
         s,
-        [this, &ids, &done, tally,
-         group = std::move(groups[s])](ShardContext& ctx) {
+        [this, &ids, tally, group = std::move(groups[s])](ShardContext& ctx) {
           const std::size_t n = group.size();
           std::vector<rel::LicenseId> local(n);
           for (std::size_t j = 0; j < n; ++j) local[j] = ids[group[j]];
@@ -199,9 +198,8 @@ ServerRuntime::ImportStats ServerRuntime::ImportSpent(
             }
           }
           UpdateSpentBytesGauge(ctx);
-          done.CountDown();
         },
-        weight);
+        weight, [&done] { done.CountDown(); });
   }
   done.Wait();
   for (const ImportStats& t : per_shard) {
@@ -213,38 +211,39 @@ ServerRuntime::ImportStats ServerRuntime::ImportSpent(
 
 void ServerRuntime::WorkerLoop(Shard* shard) {
   for (;;) {
-    Task task;
-    std::size_t weight = 0;
+    Shard::Queued item;
     {
       std::unique_lock<std::mutex> lock(shard->m);
       shard->work_cv.wait(
           lock, [&] { return shard->stop || !shard->queue.empty(); });
       if (shard->queue.empty()) return;  // stopping with nothing left to do
-      task = std::move(shard->queue.front().first);
-      weight = shard->queue.front().second;
+      item = std::move(shard->queue.front());
       shard->queue.pop_front();
       shard->busy = true;
     }
-    // Decrement BEFORE running the task: completion latches count down
-    // inside the task body, so anything sequenced after task() races the
-    // blocked caller's wake-up. Decrementing here sequences the gauge
-    // update before the latch, which is what lets a quiesced runtime
-    // (every blocking Submit returned) read the gauge as exactly the
-    // queued-not-yet-started items — deterministically zero — in the
+    // Decrement BEFORE running the task: a task body may release a
+    // blocked caller itself, so anything sequenced after task() can race
+    // that caller's wake-up. Decrementing here sequences the gauge
+    // update before any completion signal, which is what lets a quiesced
+    // runtime (every blocking Submit returned) read the gauge as exactly
+    // the queued-not-yet-started items — deterministically zero — in the
     // scenario determinism check. The gauge therefore counts queue
     // depth, not queue + in-flight.
     if (obs_registry_ != nullptr) {
       obs_registry_->GaugeAdd(obs_queue_depth_,
-                              -static_cast<std::int64_t>(weight));
+                              -static_cast<std::int64_t>(item.weight));
     }
-    task(shard->ctx);
+    item.task(shard->ctx);
     {
       std::lock_guard<std::mutex> lock(shard->m);
       shard->busy = false;
-      shard->pending_items -= weight;
+      shard->pending_items -= item.weight;
       shard->space_cv.notify_all();
       if (shard->queue.empty()) shard->idle_cv.notify_all();
     }
+    // After the room is released: the caller this wakes may submit again
+    // at once and must find its own task gone from pending_items.
+    if (item.on_done != nullptr) item.on_done();
   }
 }
 
@@ -266,7 +265,7 @@ void ServerRuntime::set_observability(obs::Registry* registry,
 }
 
 bool ServerRuntime::TrySubmit(std::size_t shard_index, Task task,
-                              std::size_t weight) {
+                              std::size_t weight, OnDone on_done) {
   Shard& shard = *shards_[shard_index];
   std::lock_guard<std::mutex> lock(shard.m);
   // Shed when the queue already holds work and this submission would
@@ -280,7 +279,7 @@ bool ServerRuntime::TrySubmit(std::size_t shard_index, Task task,
   }
   shard.pending_items += weight;
   shard.high_water = std::max(shard.high_water, shard.pending_items);
-  shard.queue.emplace_back(std::move(task), weight);
+  shard.queue.push_back({std::move(task), weight, std::move(on_done)});
   shard.work_cv.notify_one();
   if (obs_registry_ != nullptr) {
     obs_registry_->GaugeAdd(obs_queue_depth_,
@@ -290,7 +289,7 @@ bool ServerRuntime::TrySubmit(std::size_t shard_index, Task task,
 }
 
 void ServerRuntime::Submit(std::size_t shard_index, Task task,
-                           std::size_t weight) {
+                           std::size_t weight, OnDone on_done) {
   Shard& shard = *shards_[shard_index];
   std::unique_lock<std::mutex> lock(shard.m);
   shard.space_cv.wait(lock, [&] {
@@ -299,7 +298,7 @@ void ServerRuntime::Submit(std::size_t shard_index, Task task,
   });
   shard.pending_items += weight;
   shard.high_water = std::max(shard.high_water, shard.pending_items);
-  shard.queue.emplace_back(std::move(task), weight);
+  shard.queue.push_back({std::move(task), weight, std::move(on_done)});
   shard.work_cv.notify_one();
   if (obs_registry_ != nullptr) {
     obs_registry_->GaugeAdd(obs_queue_depth_,
@@ -346,7 +345,7 @@ void ServerRuntime::SpendBatch(const std::vector<rel::LicenseId>& ids,
     // group goes through one InsertBatch probe pass (applied in index
     // order, so duplicate ids keep first-wins semantics) and one
     // group-committed journal block.
-    Task task = [this, &ids, out, &done, group = std::move(groups[s])](
+    Task task = [this, &ids, out, group = std::move(groups[s])](
                     ShardContext& ctx) {
       const std::size_t n = group.size();
       std::vector<rel::LicenseId> local(n);
@@ -360,14 +359,14 @@ void ServerRuntime::SpendBatch(const std::vector<rel::LicenseId>& ids,
       }
       ctx.processed += n;
       UpdateSpentBytesGauge(ctx);
-      done.CountDown();
     };
+    OnDone count_down = [&done] { done.CountDown(); };
     if (shed_on_full) {
-      if (!TrySubmit(s, std::move(task), weight)) {
+      if (!TrySubmit(s, std::move(task), weight, count_down)) {
         done.CountDown();  // shard shed: statuses stay kOverloaded
       }
     } else {
-      Submit(s, std::move(task), weight);
+      Submit(s, std::move(task), weight, count_down);
     }
   }
   done.Wait();

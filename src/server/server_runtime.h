@@ -132,13 +132,22 @@ class ServerRuntime {
     return router_.ShardFor(id);
   }
 
+  /// Called on the shard worker once a task has run AND its weight has
+  /// left the queue accounting. A caller that blocks until then (a
+  /// latch) cannot see its own finished task still holding queue room,
+  /// as it could if the task body released it.
+  using OnDone = std::function<void()>;
+
   /// Enqueues \p task on \p shard; \p weight is the item count it
   /// represents (for queue accounting). Returns false — shedding the
-  /// task — when the queue is over capacity.
-  bool TrySubmit(std::size_t shard, Task task, std::size_t weight = 1);
+  /// task, and never calling \p on_done — when the queue is over
+  /// capacity.
+  bool TrySubmit(std::size_t shard, Task task, std::size_t weight = 1,
+                 OnDone on_done = nullptr);
 
   /// Blocking submit: waits for queue room instead of shedding.
-  void Submit(std::size_t shard, Task task, std::size_t weight = 1);
+  void Submit(std::size_t shard, Task task, std::size_t weight = 1,
+              OnDone on_done = nullptr);
 
   /// Waits until every shard queue is empty and every worker is idle.
   void Drain() const;
@@ -220,7 +229,12 @@ class ServerRuntime {
     std::condition_variable work_cv;        // queue became non-empty / stop
     std::condition_variable space_cv;       // queue has room again
     mutable std::condition_variable idle_cv;  // queue empty and worker idle
-    std::deque<std::pair<Task, std::size_t>> queue;
+    struct Queued {
+      Task task;
+      std::size_t weight = 0;
+      OnDone on_done;
+    };
+    std::deque<Queued> queue;
     std::size_t pending_items = 0;  // queued + in-flight weight
     bool busy = false;
     std::size_t high_water = 0;

@@ -1,5 +1,6 @@
 #include "server/signer_pool.h"
 
+#include <algorithm>
 #include <iterator>
 
 namespace p2drm {
@@ -18,7 +19,6 @@ struct SignerPool::Batch {
 };
 
 SignerPool::SignerPool(std::size_t worker_count) {
-  if (worker_count == 0) worker_count = 1;
   workers_.reserve(worker_count);
   for (std::size_t i = 0; i < worker_count; ++i) {
     workers_.push_back(std::make_unique<Worker>());
@@ -45,38 +45,27 @@ void SignerPool::Run(std::size_t count, const Job& work) {
   Batch batch;
   batch.work = &work;
   batch.remaining = count;
-
-  // Publish the item count BEFORE dealing: a worker that wakes on the
-  // notify below and finds its deque still empty rechecks the predicate
-  // (pending_ > 0 holds) and rescans — a bounded spin that closes once
-  // the deal loop finishes, never a lost wakeup.
-  pending_.fetch_add(count, std::memory_order_release);
-  const std::size_t n = workers_.size();
-  for (std::size_t k = 0; k < count; ++k) {
-    Worker& w = *workers_[k % n];
-    std::lock_guard<std::mutex> lk(w.m);
-    w.dq.push_back(Item{&batch, k});
-  }
-  if (registry_ != nullptr) {
-    registry_->GaugeAdd(gauge_queue_, static_cast<std::int64_t>(count));
-  }
-  {
-    // Empty critical section: pairs with the waiter's predicate check so
-    // the notify cannot land between "predicate false" and "blocked".
-    std::lock_guard<std::mutex> lk(sleep_m_);
-  }
-  sleep_cv_.notify_all();
-
-  // The caller signs its own batch's not-yet-started items instead of
-  // sleeping, so it never idles while its work queues behind other
-  // batches, and the batch completes even if every worker is busy.
   SignerContext joiner;
-  joiner.index = n;
-  std::size_t cursor = 0;
-  Item item;
-  while (TryPopOwn(&batch, &cursor, &item)) {
-    OnDequeued();
-    RunItem(item, joiner);
+  joiner.index = workers_.size();
+
+  if (workers_.empty()) {
+    // Zero workers: the caller runs every item in ascending k; nothing is
+    // dealt and nobody is woken.
+    for (std::size_t k = 0; k < count; ++k) {
+      Item item{&batch, k};
+      RunItem(item, joiner);
+    }
+  } else {
+    Deal(&batch, count);
+    // The caller signs its own batch's not-yet-started items instead of
+    // sleeping, so it never idles while its work queues behind other
+    // batches, and the batch completes even if every worker is busy.
+    std::size_t cursor = 0;
+    Item item;
+    while (TryPopOwn(&batch, &cursor, &item)) {
+      OnDequeued();
+      RunItem(item, joiner);
+    }
   }
   joiner_sim_clock_us_.fetch_add(
       joiner.sim_clock_us.load(std::memory_order_relaxed),
@@ -85,6 +74,33 @@ void SignerPool::Run(std::size_t count, const Job& work) {
   // What the workers already started: wait for it.
   std::unique_lock<std::mutex> lk(batch.m);
   batch.done_cv.wait(lk, [&batch] { return batch.remaining == 0; });
+}
+
+void SignerPool::Deal(Batch* batch, std::size_t count) {
+  // Publish the item count BEFORE dealing: a worker that wakes on a
+  // notify below and finds its deque still empty rechecks the predicate
+  // (pending_ > 0 holds) and rescans — a bounded spin that closes once
+  // the deal loop finishes, never a lost wakeup.
+  pending_.fetch_add(count, std::memory_order_release);
+  const std::size_t n = workers_.size();
+  for (std::size_t k = 0; k < count; ++k) {
+    Worker& w = *workers_[k % n];
+    std::lock_guard<std::mutex> lk(w.m);
+    w.dq.push_back(Item{batch, k});
+  }
+  if (registry_ != nullptr) {
+    registry_->GaugeAdd(gauge_queue_, static_cast<std::int64_t>(count));
+  }
+  {
+    // Empty critical section: pairs with the waiter's predicate check so
+    // a notify cannot land between "predicate false" and "blocked".
+    std::lock_guard<std::mutex> lk(sleep_m_);
+  }
+  // The joiner takes at least one item, so count - 1 workers are the
+  // most this batch can use. Completion never depends on a wake: the
+  // joiner runs whatever no woken worker has started.
+  const std::size_t wake = std::min(count - 1, n);
+  for (std::size_t i = 0; i < wake; ++i) sleep_cv_.notify_one();
 }
 
 bool SignerPool::TryPopOwn(const Batch* batch, std::size_t* cursor,

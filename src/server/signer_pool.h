@@ -2,7 +2,7 @@
 #define P2DRM_SERVER_SIGNER_POOL_H_
 
 /// \file signer_pool.h
-/// \brief Dedicated work-stealing thread pool for the issue stage.
+/// \brief Dedicated work-stealing thread pool for the RSA stages.
 ///
 /// Issuance is per-item RSA private-key work with no shard affinity: it
 /// touches no shard-owned state, so it does not run on the spend shards,
@@ -11,17 +11,24 @@
 /// small pool sized independently of the shards, with one
 /// bounded-latency deque per worker, and steal-from-back balancing so a
 /// worker that drains its own slice finishes someone else's instead of
-/// idling.
+/// idling. The verify stage's public-key exponentiations
+/// (BatchVerifier) run on the same pool, one batch stage at a time.
 ///
 /// Scheduling contract:
 ///  * `Run(count, work)` is one blocking call: it deals item k to deque
-///    k mod W, then the calling thread joins — it takes not-yet-started
+///    k mod W, wakes at most min(count - 1, W) sleeping workers (the
+///    caller always takes one item itself, so a one-item Run wakes
+///    nobody), then the calling thread joins — it takes not-yet-started
 ///    items of THAT batch from the back of the deques and runs them on a
 ///    per-call joiner context (index worker_count()) — and finally waits
 ///    for the items already running on workers. It returns once every
 ///    item of the batch has executed. Concurrent callers' batches
 ///    interleave freely — fairness across batches is by deal order, not
 ///    FIFO — and a caller never runs another caller's items.
+///  * A pool of zero workers is the inline executor: its Run runs every
+///    item on the caller in ascending k, deals nothing and wakes nobody.
+///    A caller therefore always has a pool, and "no pool" is W = 0, not
+///    a separate code path.
 ///  * A worker pops its own deque from the FRONT (oldest first, keeps
 ///    per-batch index order roughly ascending per worker) and steals
 ///    from the BACK of a victim's deque, scanning victims starting at
@@ -85,11 +92,13 @@ struct SignerContext {
 /// Run.
 class SignerPool {
  public:
-  /// One unit of issue work: item k of its batch (for the batch
-  /// pipeline, one issue group), run on some worker.
+  /// One unit of work: item k of its batch (one issue group of the batch
+  /// pipeline, or one verify group of BatchVerifier), run on some worker
+  /// or the joining caller.
   using Job = std::function<void(SignerContext& ctx, std::size_t k)>;
 
-  /// Spawns \p worker_count workers (clamped to at least 1).
+  /// Spawns \p worker_count workers; 0 makes the inline executor, whose
+  /// Run runs every item on the caller.
   explicit SignerPool(std::size_t worker_count);
   ~SignerPool();
 
@@ -99,9 +108,10 @@ class SignerPool {
   std::size_t worker_count() const { return workers_.size(); }
 
   /// Runs k = 0..count-1 of \p work: deals the items to the per-worker
-  /// deques (k mod W), signs the not-yet-started ones on the calling
-  /// thread (joiner context, index worker_count()) and waits for the
-  /// rest. Returns once every item has executed, which establishes
+  /// deques (k mod W), wakes at most min(count - 1, W) workers, signs the
+  /// not-yet-started items on the calling thread (joiner context, index
+  /// worker_count()) and waits for the rest. With zero workers every
+  /// item runs on the caller, ascending k. Returns once every item has executed, which establishes
   /// happens-before with each item's effects, so per-k results are safe
   /// to read afterwards without further synchronization.
   void Run(std::size_t count, const Job& work);
@@ -145,6 +155,8 @@ class SignerPool {
 
   void WorkerLoop(std::size_t index);
   bool TryRunOne(std::size_t self_index);
+  /// Publishes, deals and wakes for \p count items of \p batch (W > 0).
+  void Deal(Batch* batch, std::size_t count);
   /// Pops the back-most not-yet-started item of \p batch, scanning the
   /// deques round-robin from \p *cursor (advanced past the hit).
   bool TryPopOwn(const Batch* batch, std::size_t* cursor, Item* item);
@@ -159,7 +171,8 @@ class SignerPool {
   // and is incremented BEFORE the items are dealt, so a worker that
   // wakes early at worst spins through one empty scan while the dealer
   // finishes. Workers block on sleep_cv_ when pending_ == 0 and exit
-  // only when stop_ && pending_ == 0.
+  // only when stop_ && pending_ == 0. A Run notifies one sleeper per
+  // item it can hand a worker (count - 1, at most W), not all of them.
   std::mutex sleep_m_;
   std::condition_variable sleep_cv_;
   std::atomic<std::size_t> pending_{0};

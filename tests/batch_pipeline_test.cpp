@@ -107,14 +107,16 @@ TEST(BatchPipelineStages, ShedsAtMutateOnlyAndSkipsShedItems) {
   obs::Tracer tracer;
   server::PipelineObs pobs;
   pobs.tracer = &tracer;
-  server::BatchPipeline pipeline(server::BatchPipeline::Config{});
+  server::SignerPool inline_pool(0);
+  server::BatchPipeline pipeline(
+      server::BatchPipeline::Config{&inline_pool, nullptr});
   auto t = pipeline.Run(plan, &pobs);
 
   // The three stage spans open and close in stage order.
   EXPECT_EQ(NestedSpans(tracer),
             (std::vector<std::string>{"pipeline.verify", "pipeline.mutate",
                                       "pipeline.issue"}));
-  // Fork draw, issue (no pool: the dispatch thread) and commit all saw
+  // Fork draw, issue (zero workers: the dispatch thread) and commit all saw
   // exactly the live items, in index order; the shed item touched none
   // of them.
   std::vector<std::size_t> live{0, 2, 3};
@@ -141,7 +143,9 @@ TEST(BatchPipelineStages, OverloadedNeverProceedsEvenIfFlowSaysSo) {
     rejected = true;
     EXPECT_EQ(s, Status::kOverloaded);
   };
-  server::BatchPipeline pipeline(server::BatchPipeline::Config{});
+  server::SignerPool inline_pool(0);
+  server::BatchPipeline pipeline(
+      server::BatchPipeline::Config{&inline_pool, nullptr});
   auto t = pipeline.Run(plan);
   EXPECT_FALSE(issued);
   EXPECT_TRUE(rejected);
@@ -154,7 +158,7 @@ TEST(BatchPipelineStages, IssueGroupSizeGivesEverySignerAGroupFirst) {
   EXPECT_EQ(server::IssueGroupSize(64, 4), 8u);  // capped at one pass
   EXPECT_EQ(server::IssueGroupSize(12, 4), 3u);
   EXPECT_EQ(server::IssueGroupSize(1, 4), 1u);   // a one-item purchase
-  EXPECT_EQ(server::IssueGroupSize(5, 1), 5u);   // no pool: one signer
+  EXPECT_EQ(server::IssueGroupSize(5, 1), 5u);   // zero workers: one signer
   EXPECT_EQ(server::IssueGroupSize(20, 1), server::kMaxIssueGroup);
   EXPECT_EQ(server::IssueGroupSize(0, 4), 0u);
 }
@@ -597,8 +601,11 @@ TEST_F(AgentRetryTest, VirtualTimeBackoffHonorsMultiSecondHintsNoSleeps) {
 // -- injectable pipeline time source -----------------------------------------
 
 TEST(PipelineTimings, InjectedTimeSourcePinsStageTimings) {
-  // A deterministic tick source makes LastBatchTimings exact: each
-  // pipeline stage spans exactly one tick of 7us, wall clock nowhere.
+  // A deterministic tick source makes LastBatchTimings exact, wall clock
+  // nowhere. Verify and spend span one tick of 7us each. The issue stage
+  // samples its start, then the one issue group samples its own start
+  // and end on the zero-worker pool (the sample its signer clock
+  // accrues), so issue spans two ticks.
   Stack stack("timings-injected", /*redeem_shards=*/0, 512);
   std::uint64_t tick = 0;
   stack.cp.set_time_source([&tick]() {
@@ -618,10 +625,10 @@ TEST(PipelineTimings, InjectedTimeSourcePinsStageTimings) {
   EXPECT_EQ(timings.items, 2u);
   EXPECT_EQ(timings.verify_us, 7.0);
   EXPECT_EQ(timings.spend_us, 7.0);
-  EXPECT_EQ(timings.issue_us, 7.0);
+  EXPECT_EQ(timings.issue_us, 14.0);
   // End-to-end span of the synchronous run: first verify sample to last
-  // issue sample, 5 ticks.
-  EXPECT_EQ(timings.makespan_us, 35.0);
+  // issue sample, 6 ticks.
+  EXPECT_EQ(timings.makespan_us, 42.0);
 }
 
 // -- client exchange batch ---------------------------------------------------

@@ -14,6 +14,7 @@
 #include "crypto/drbg.h"
 #include "crypto/rsa.h"
 #include "server/server_runtime.h"
+#include "sim/provider_stack.h"
 #include "store/append_log.h"
 
 namespace p2drm {
@@ -503,6 +504,243 @@ TEST_F(LazyTranscriptTest, DoubleInsideTheFirstRedemptionsBatch) {
   auto first = pooled_.TranscriptFor(bearer.id);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->Serialize(), evidence[0].first.Serialize());
+}
+
+
+// -- verify fan-out equivalence ----------------------------------------------
+//
+// The verify stage fans its RSA checks out over the signer pool. These
+// cases drive the same hostile exchange and redeem batches through
+// providers with 0, 1 and 3 pool workers, built from one seed so their
+// keys and licenses are bit-identical, and require the same per-item
+// statuses, the same verifier-stat deltas and the same verify-op counts
+// from each, at batch sizes that make one group, a few groups and groups
+// of unequal length. The full-verify count is also pinned exactly: a
+// possession proof (or a certificate) checked for an item that an
+// earlier check had already rejected shows up as an extra verify.
+
+constexpr std::size_t kFanOutPools[] = {0, 1, 3};
+constexpr std::size_t kFanOutSizes[] = {1, 3, 8, 32, 33};
+
+/// One provider stack per pool size, all from the same seed.
+struct FanOutStacks {
+  explicit FanOutStacks(const std::string& seed) {
+    for (std::size_t workers : kFanOutPools) {
+      stacks.push_back(std::make_unique<sim::ProviderStack>(
+          seed, /*redeem_shards=*/2, 512, 4096, workers));
+    }
+  }
+  std::vector<std::unique_ptr<sim::ProviderStack>> stacks;
+};
+
+/// A batch's verify-stage footprint on one provider.
+struct VerifyDelta {
+  server::BatchVerifierStats stats;
+  std::uint64_t verify_ops = 0;
+};
+
+template <typename Run>
+VerifyDelta MeasureVerify(sim::ProviderStack& st, const Run& run) {
+  const server::BatchVerifierStats before = st.cp.BatchVerifyStats();
+  const std::uint64_t ops_before = GlobalOps().verify.load();
+  run();
+  return {st.cp.BatchVerifyStats() - before,
+          GlobalOps().verify.load() - ops_before};
+}
+
+void ExpectSameDelta(const VerifyDelta& a, const VerifyDelta& b) {
+  EXPECT_EQ(a.stats.items, b.stats.items);
+  EXPECT_EQ(a.stats.full_verifies, b.stats.full_verifies);
+  EXPECT_EQ(a.stats.screened_groups, b.stats.screened_groups);
+  EXPECT_EQ(a.stats.screen_failures, b.stats.screen_failures);
+  EXPECT_EQ(a.stats.cert_cache_hits, b.stats.cert_cache_hits);
+  EXPECT_EQ(a.stats.crl_probe_hits, b.stats.crl_probe_hits);
+  EXPECT_EQ(a.verify_ops, b.verify_ops);
+}
+
+/// The issuer signature of \p lic, made invalid without an exponentiation:
+/// one byte short of the modulus width, or exactly n (s >= n).
+void ShortenSignature(rel::License* lic) { lic->issuer_signature.pop_back(); }
+void SignatureAtModulus(const ContentProvider& cp, rel::License* lic) {
+  lic->issuer_signature = cp.PublicKey().n.ToBytes();
+}
+
+TEST(VerifyFanOut, ExchangeBatchesMatchAcrossPoolSizes) {
+  FanOutStacks fx("verify-fanout-exchange");
+  // A twin of the stacks' seed signs with the same provider key but
+  // binds its licenses to a pseudonym of a card with its own DRBG, which
+  // none of the stacks ever saw.
+  sim::ProviderStack twin("verify-fanout-exchange", 0);
+  ASSERT_EQ(twin.cp.PublicKey(), fx.stacks[0]->cp.PublicKey());
+  crypto::HmacDrbg stranger_rng("verify-fanout-stranger");
+  SmartCard stranger_card("Stranger", 512, &stranger_rng);
+  stranger_card.StoreIdentityCertificate(
+      twin.ca.Enrol("Stranger", stranger_card.MasterKey()));
+  PseudonymRequest req =
+      stranger_card.BeginPseudonym(twin.ca.PublicKey(), twin.ttp.EscrowKey());
+  bignum::BigInt blind_sig =
+      twin.ca.SignPseudonymBlinded(stranger_card.CardId(), req.blinding.blinded);
+  Pseudonym* stranger = stranger_card.FinishPseudonym(std::move(req), blind_sig,
+                                                      twin.ca.PublicKey());
+  ASSERT_NE(stranger, nullptr);
+
+  std::vector<Pseudonym*> giver;
+  for (auto& st : fx.stacks) giver.push_back(st->NewPseudonym());
+
+  for (std::size_t n : kFanOutSizes) {
+    SCOPED_TRACE("batch of " + std::to_string(n));
+    // Item i's kind is i % 8; every stack builds the same items.
+    std::vector<std::vector<ContentProvider::ExchangeItem>> batch(
+        fx.stacks.size());
+    std::size_t candidates = 0;  // license signatures that need a PowMod
+    std::size_t proofs = 0;      // possession proofs past every other check
+    std::vector<Status> expected(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t kind = i % 8;
+      rel::License unknown;
+      std::vector<std::uint8_t> unknown_proof;
+      if (kind == 5) {
+        unknown = twin.NewBoundLicense(stranger);
+        unknown_proof = stranger_card.SignWithPseudonym(
+            stranger->cert.KeyId(),
+            ContentProvider::TransferChallengeBytes(unknown.id));
+      }
+      for (std::size_t s = 0; s < fx.stacks.size(); ++s) {
+        sim::ProviderStack& st = *fx.stacks[s];
+        ContentProvider::ExchangeItem item;
+        if (kind == 4) {  // bound to a key revoked after purchase
+          Pseudonym* p = st.NewPseudonym();
+          item.license = st.NewBoundLicense(p);
+          item.possession_sig = st.PossessionSig(p, item.license);
+          st.cp.Revoke(p->cert.KeyId());
+        } else if (kind == 5) {  // bound to a key this provider never saw
+          item.license = unknown;
+          item.possession_sig = unknown_proof;
+        } else if (kind == 7) {  // an anonymous license: not exchangeable
+          item.license = st.NewBearer(giver[s]);
+          item.possession_sig = st.PossessionSig(giver[s], item.license);
+        } else {
+          item.license = st.NewBoundLicense(giver[s]);
+          item.possession_sig = st.PossessionSig(giver[s], item.license);
+        }
+        if (kind == 1) ShortenSignature(&item.license);
+        if (kind == 2) SignatureAtModulus(st.cp, &item.license);
+        if (kind == 3) item.license.content_id += 1;  // forged body
+        if (kind == 6) item.possession_sig[7] ^= 0x01;  // bad proof
+        batch[s].push_back(std::move(item));
+      }
+      const Status kExpected[] = {
+          Status::kOk,         Status::kBadSignature, Status::kBadSignature,
+          Status::kBadSignature, Status::kRevoked,    Status::kBadRequest,
+          Status::kBadSignature, Status::kBadRequest};
+      expected[i] = kExpected[kind];
+      if (kind != 1 && kind != 2) ++candidates;
+      if (kind == 0 || kind == 6) ++proofs;
+    }
+
+    std::vector<VerifyDelta> delta;
+    std::vector<std::vector<ContentProvider::ExchangeResult>> out(
+        fx.stacks.size());
+    for (std::size_t s = 0; s < fx.stacks.size(); ++s) {
+      delta.push_back(MeasureVerify(*fx.stacks[s], [&] {
+        out[s] = fx.stacks[s]->cp.ExchangeBatch(batch[s]);
+      }));
+    }
+    for (std::size_t s = 0; s < fx.stacks.size(); ++s) {
+      SCOPED_TRACE("pool of " + std::to_string(kFanOutPools[s]));
+      ASSERT_EQ(out[s].size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[s][i].status, expected[i]) << "item " << i;
+        EXPECT_EQ(out[s][i].anonymous_license.Serialize(),
+                  out[0][i].anonymous_license.Serialize())
+            << "item " << i;
+      }
+      ExpectSameDelta(delta[s], delta[0]);
+      EXPECT_EQ(delta[s].stats.items, n + proofs);
+      EXPECT_EQ(delta[s].stats.full_verifies, candidates + proofs);
+      EXPECT_EQ(delta[s].verify_ops, candidates + proofs);
+    }
+  }
+}
+
+TEST(VerifyFanOut, RedeemBatchesMatchAcrossPoolSizes) {
+  FanOutStacks fx("verify-fanout-redeem");
+  std::vector<Pseudonym*> giver;
+  for (auto& st : fx.stacks) giver.push_back(st->NewPseudonym());
+
+  for (std::size_t n : kFanOutSizes) {
+    SCOPED_TRACE("batch of " + std::to_string(n));
+    // Fresh takers per batch, so each certificate's first check in this
+    // batch is a full verify and the count below is exact. Items that
+    // fail before the certificate check carry a certificate of their
+    // own, which must never be verified.
+    std::vector<Pseudonym*> taker, revoked, unchecked;
+    for (auto& st : fx.stacks) {
+      taker.push_back(st->NewPseudonym());
+      revoked.push_back(st->NewPseudonym());
+      unchecked.push_back(st->NewPseudonym());
+      st->cp.Revoke(revoked.back()->cert.KeyId());
+    }
+    std::vector<std::vector<ContentProvider::RedeemItem>> batch(
+        fx.stacks.size());
+    std::size_t candidates = 0;
+    std::size_t cert_checks = 0;  // items that reach the certificate check
+    bool good_cert = false, bad_cert = false, revoked_cert = false;
+    std::vector<Status> expected(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t kind = i % 8;
+      for (std::size_t s = 0; s < fx.stacks.size(); ++s) {
+        sim::ProviderStack& st = *fx.stacks[s];
+        ContentProvider::RedeemItem item;
+        item.anonymous_license = kind == 6 ? st.NewBoundLicense(giver[s])
+                                           : st.NewBearer(giver[s]);
+        const bool fails_first = kind == 1 || kind == 2 || kind == 3 ||
+                                 kind == 6;
+        item.taker = kind == 5       ? revoked[s]->cert
+                     : fails_first ? unchecked[s]->cert
+                                   : taker[s]->cert;
+        if (kind == 1) ShortenSignature(&item.anonymous_license);
+        if (kind == 2) SignatureAtModulus(st.cp, &item.anonymous_license);
+        if (kind == 3) item.anonymous_license.content_id += 1;
+        if (kind == 4) item.taker.escrow.push_back(0x7f);  // forged cert
+        batch[s].push_back(std::move(item));
+      }
+      const Status kExpected[] = {
+          Status::kOk,          Status::kBadSignature,
+          Status::kBadSignature, Status::kBadSignature,
+          Status::kBadCertificate, Status::kRevoked,
+          Status::kBadRequest,  Status::kOk};
+      expected[i] = kExpected[kind];
+      if (kind != 1 && kind != 2) ++candidates;
+      if (kind == 0 || kind == 4 || kind == 5 || kind == 7) ++cert_checks;
+      good_cert |= kind == 0 || kind == 7;
+      bad_cert |= kind == 4;
+      revoked_cert |= kind == 5;
+    }
+    const std::size_t certs = good_cert + bad_cert + revoked_cert;
+
+    std::vector<VerifyDelta> delta;
+    std::vector<std::vector<ContentProvider::PurchaseResult>> out(
+        fx.stacks.size());
+    for (std::size_t s = 0; s < fx.stacks.size(); ++s) {
+      delta.push_back(MeasureVerify(*fx.stacks[s], [&] {
+        out[s] = fx.stacks[s]->cp.RedeemAnonymousBatch(batch[s]);
+      }));
+    }
+    for (std::size_t s = 0; s < fx.stacks.size(); ++s) {
+      SCOPED_TRACE("pool of " + std::to_string(kFanOutPools[s]));
+      ASSERT_EQ(out[s].size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out[s][i].status, expected[i]) << "item " << i;
+        EXPECT_EQ(out[s][i].license.Serialize(), out[0][i].license.Serialize())
+            << "item " << i;
+      }
+      ExpectSameDelta(delta[s], delta[0]);
+      EXPECT_EQ(delta[s].stats.full_verifies, candidates + certs);
+      EXPECT_EQ(delta[s].stats.cert_cache_hits, cert_checks - certs);
+      EXPECT_EQ(delta[s].verify_ops, candidates + certs);
+    }
+  }
 }
 
 }  // namespace

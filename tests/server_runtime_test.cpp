@@ -521,6 +521,7 @@ class BatchVerifierTest : public ::testing::Test {
   crypto::HmacDrbg rng_;
   crypto::RsaPrivateKey key_;
   crypto::RsaPublicKey pub_;
+  server::SignerPool inline_{0};  // zero workers: checks run on the caller
 };
 
 TEST_F(BatchVerifierTest, SameKeyBatchVerifiesEachItemOnce) {
@@ -531,7 +532,8 @@ TEST_F(BatchVerifierTest, SameKeyBatchVerifiesEachItemOnce) {
     sigs.push_back(crypto::RsaSignFdh(key_, msgs.back()));
   }
   BatchVerifier verifier;
-  std::vector<bool> ok = verifier.VerifySameKeyBatch(pub_, msgs, sigs, &rng_);
+  std::vector<std::uint8_t> ok =
+      verifier.VerifySameKeyBatch(pub_, msgs, sigs, &rng_, inline_);
   for (bool v : ok) EXPECT_TRUE(v);
   BatchVerifierStats stats = verifier.stats();
   EXPECT_EQ(stats.items, 16u);
@@ -551,7 +553,8 @@ TEST_F(BatchVerifierTest, SameKeyBatchIsolatesTamperedItems) {
   sigs[6] = std::vector<std::uint8_t>(4, 0xab);  // structurally wrong
 
   BatchVerifier verifier;
-  std::vector<bool> ok = verifier.VerifySameKeyBatch(pub_, msgs, sigs, &rng_);
+  std::vector<std::uint8_t> ok =
+      verifier.VerifySameKeyBatch(pub_, msgs, sigs, &rng_, inline_);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(ok[i], i != 3 && i != 6) << "item " << i;
   }
@@ -580,8 +583,8 @@ TEST_F(BatchVerifierTest, SameKeyBatchRejectsExactlyTheForgedItems) {
       if (all_forged || i == kItems - 1) presented[i] = forge(msgs[i]);
     }
     BatchVerifier verifier;
-    std::vector<bool> ok =
-        verifier.VerifySameKeyBatch(pub_, presented, sigs, &rng_);
+    std::vector<std::uint8_t> ok =
+        verifier.VerifySameKeyBatch(pub_, presented, sigs, &rng_, inline_);
     ASSERT_EQ(ok.size(), kItems);
     for (std::size_t i = 0; i < kItems; ++i) {
       EXPECT_EQ(ok[i], !all_forged && i != kItems - 1) << "item " << i;
@@ -617,7 +620,8 @@ TEST_F(BatchVerifierTest, SameKeyBatchDrawsFourBytesPerCandidate) {
       msgs.push_back(RandomMsg());
       sigs.push_back(out_of_range);
     }
-    std::vector<bool> ok = verifier.VerifySameKeyBatch(pub_, msgs, sigs, &drbg);
+    std::vector<std::uint8_t> ok =
+        verifier.VerifySameKeyBatch(pub_, msgs, sigs, &drbg, inline_);
     for (std::size_t i = 0; i < msgs.size(); ++i) {
       EXPECT_EQ(ok[i], i < candidates) << "item " << i;
     }
@@ -633,6 +637,103 @@ TEST_F(BatchVerifierTest, SameKeyBatchDrawsFourBytesPerCandidate) {
   drbg.Fill(next.data(), next.size());
   twin.Fill(twin_next.data(), twin_next.size());
   EXPECT_EQ(next, twin_next);
+}
+
+TEST(VerifyGroupSizeTest, SpreadsOverSignersAboveTheFloor) {
+  EXPECT_EQ(VerifyGroupSize(32, 4), 8u);   // four groups of 8
+  EXPECT_EQ(VerifyGroupSize(33, 4), 9u);   // 9, 9, 9 and 6
+  EXPECT_EQ(VerifyGroupSize(64, 4), 16u);  // no cap: one group per signer
+  // A few checks make one group: they run on the caller, waking nobody.
+  EXPECT_EQ(VerifyGroupSize(3, 4), kMinVerifyGroup);
+  EXPECT_EQ(VerifyGroupSize(kMinVerifyGroup, 4), kMinVerifyGroup);
+  EXPECT_EQ(VerifyGroupSize(20, 1), 20u);  // zero workers: one group
+}
+
+TEST_F(BatchVerifierTest, SameKeyFanOutMatchesInlineAcrossPoolSizes) {
+  // A hostile group: genuine, forged (well-formed, wrong message), one
+  // byte short, and s = n. Every pool size must give the same verdicts,
+  // the same stats and leave the caller's DRBG at the same point.
+  const std::vector<std::uint8_t> at_modulus = pub_.n.ToBytes();
+  for (std::size_t n : {1u, 3u, 8u, 32u, 33u}) {
+    SCOPED_TRACE(n);
+    std::vector<std::vector<std::uint8_t>> msgs;
+    std::vector<std::vector<std::uint8_t>> sigs;
+    std::vector<std::uint8_t> expected;
+    std::size_t candidates = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      msgs.push_back(RandomMsg());
+      sigs.push_back(crypto::RsaSignFdh(key_, msgs.back()));
+      switch (i % 4) {
+        case 1: msgs.back()[0] ^= 0x01; break;  // forged
+        case 2: sigs.back().pop_back(); break;  // wrong width
+        case 3: sigs.back() = at_modulus; break;  // s >= n
+        default: break;
+      }
+      expected.push_back(i % 4 == 0 ? 1 : 0);
+      if (i % 4 < 2) ++candidates;
+    }
+    std::vector<std::uint8_t> next_inline;
+    for (std::size_t workers : {0u, 1u, 3u}) {
+      SCOPED_TRACE(workers);
+      SignerPool pool(workers);
+      crypto::HmacDrbg drbg("fan-out-draw");
+      BatchVerifier verifier;
+      std::vector<std::uint8_t> ok =
+          verifier.VerifySameKeyBatch(pub_, msgs, sigs, &drbg, pool);
+      EXPECT_EQ(ok, expected);
+      BatchVerifierStats stats = verifier.stats();
+      EXPECT_EQ(stats.items, n);
+      EXPECT_EQ(stats.full_verifies, candidates);
+      EXPECT_EQ(stats.screened_groups, 1u);
+      EXPECT_EQ(stats.screen_failures, candidates > 1 ? 1u : 0u);
+      // Verify jobs accrue nothing onto the pool's signing clocks.
+      EXPECT_EQ(pool.JoinerSimClockUs(), 0u);
+      for (std::size_t w = 0; w < workers; ++w) {
+        EXPECT_EQ(pool.WorkerSimClockUs(w), 0u);
+      }
+      std::vector<std::uint8_t> next(16);
+      drbg.Fill(next.data(), next.size());
+      if (workers == 0) next_inline = next;
+      EXPECT_EQ(next, next_inline) << "the draw moved with the pool size";
+    }
+  }
+}
+
+TEST_F(BatchVerifierTest, MixedKeyListMatchesSingleVerifies) {
+  // Possession proofs under three keys, in runs and interleaved, with
+  // a forged message and a short signature: VerifyFdhMany gives what one
+  // VerifyFdh per check gives, with the same counts, at every pool size.
+  std::vector<crypto::RsaPrivateKey> keys;
+  keys.push_back(key_);
+  keys.push_back(crypto::GenerateRsaKey(512, &rng_));
+  keys.push_back(crypto::GenerateRsaKey(512, &rng_));
+  std::vector<crypto::RsaPublicKey> pubs;
+  for (const auto& k : keys) pubs.push_back(k.PublicKey());
+  const std::size_t kChecks = 19;
+  std::vector<std::vector<std::uint8_t>> msgs(kChecks), sigs(kChecks);
+  std::vector<FdhCheck> checks(kChecks);
+  for (std::size_t i = 0; i < kChecks; ++i) {
+    const std::size_t k = i < 6 ? 0 : i % 3;  // a run, then interleaved
+    msgs[i] = RandomMsg();
+    sigs[i] = crypto::RsaSignFdh(keys[k], msgs[i]);
+    if (i % 5 == 2) msgs[i][3] ^= 0x10;   // forged
+    if (i % 7 == 4) sigs[i].pop_back();   // wrong width
+    checks[i] = {&pubs[k], &msgs[i], &sigs[i]};
+  }
+  BatchVerifier single;
+  std::vector<std::uint8_t> expected;
+  for (const FdhCheck& c : checks) {
+    expected.push_back(single.VerifyFdh(*c.pub, *c.msg, *c.sig) ? 1 : 0);
+  }
+  for (std::size_t workers : {0u, 1u, 3u}) {
+    SCOPED_TRACE(workers);
+    SignerPool pool(workers);
+    BatchVerifier verifier;
+    EXPECT_EQ(verifier.VerifyFdhMany(checks, pool), expected);
+    EXPECT_EQ(verifier.stats().items, single.stats().items);
+    EXPECT_EQ(verifier.stats().full_verifies, single.stats().full_verifies);
+    EXPECT_TRUE(verifier.VerifyFdhMany({}, pool).empty());
+  }
 }
 
 TEST_F(BatchVerifierTest, PseudonymCertsVerifiedOncePerDistinctCert) {

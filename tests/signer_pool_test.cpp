@@ -1,10 +1,12 @@
 // Tests for server::SignerPool: the dedicated work-stealing pool the
-// batch pipeline hands the issue stage to. Covers completion across pool
-// sizes, a rendezvous that needs every worker and the caller running at
-// once, the deterministic steal path (a blocked owner's work finishes on
-// a thief), shutdown racing idle thieves, the joining Run caller (it
-// signs its own batch, never another caller's, and its clock conserves
-// total signing time), and the queue-depth/steal metrics. The whole file
+// batch pipeline hands the verify and issue stages to. Covers completion
+// across pool sizes, the zero-worker pool (every item on the caller),
+// concurrent one- and two-item Runs that wake fewer workers than sleep,
+// a rendezvous that needs every worker and the caller running at once,
+// the deterministic steal path (a blocked owner's work finishes on a
+// thief), shutdown racing idle thieves, the joining Run caller (it signs
+// its own batch, never another caller's, and its clock conserves total
+// signing time), and the queue-depth/steal metrics. The whole file
 // also runs under TSan in CI — the pool's sleep/wake and per-deque
 // locking contracts are only trusted because the race detector agrees.
 
@@ -42,6 +44,54 @@ TEST(SignerPool, RunExecutesEveryItemAcrossPoolSizes) {
     for (std::size_t k = 0; k < n; ++k) {
       EXPECT_EQ(hits[k], 1) << "workers=" << workers << " k=" << k;
     }
+  }
+}
+
+TEST(SignerPool, ZeroWorkerPoolRunsEveryItemOnTheCaller) {
+  // The inline executor: no thread, every item on the caller in
+  // ascending k, on the joiner context (index 0), whose clock accrues.
+  server::SignerPool pool(0);
+  ASSERT_EQ(pool.worker_count(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.Run(5, [&](server::SignerContext& ctx, std::size_t k) {
+    EXPECT_EQ(ctx.index, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ctx.AccrueSimClockUs(2);
+    order.push_back(k);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(pool.JoinerSimClockUs(), 10u);
+  EXPECT_EQ(pool.Steals(), 0u);
+  pool.Run(0, [](server::SignerContext&, std::size_t) {
+    ADD_FAILURE() << "an empty Run ran an item";
+  });
+}
+
+TEST(SignerPool, ConcurrentSmallRunsWakeOnlyWhatTheyUse) {
+  // A Run of one item wakes no worker and a Run of two wakes one, so the
+  // pool's wake path runs with fewer notifies than sleepers. Eight
+  // callers mixing both sizes for thousands of rounds must still run
+  // every item exactly once and return (TSan checks the handoff).
+  server::SignerPool pool(3);
+  constexpr std::size_t kCallers = 8;
+  constexpr int kRounds = 2000;
+  std::vector<std::vector<int>> hits(kCallers, std::vector<int>(2, 0));
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < kRounds; ++round) {
+        const std::size_t count = (round + c) % 2 + 1;
+        pool.Run(count, [&, c](server::SignerContext&, std::size_t k) {
+          hits[c][k] += 1;
+        });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(hits[c][0], kRounds) << "caller " << c;
+    EXPECT_EQ(hits[c][1], kRounds / 2) << "caller " << c;
   }
 }
 
